@@ -6,7 +6,7 @@
 //   ./build/examples/cyclotop --slowdown=3   # watch host 0 get flagged
 //   ./build/examples/cyclotop --once         # one page, no ANSI (CI smoke)
 //
-// The rt runner's LiveSampler snapshots the always-on flight recorder and
+// On rt the runner's LiveSampler snapshots the always-on flight recorder and
 // the metrics registry on an interval; cyclotop hooks its on_sample
 // callback and redraws a per-host table — rolling mean chunk residency,
 // straggler z-score, flag count — while the join is actually running on

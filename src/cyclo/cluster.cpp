@@ -1,5 +1,7 @@
 #include "cyclo/cluster.h"
 
+#include <tuple>
+
 namespace cj::cyclo {
 
 Cluster::Cluster(sim::Engine& engine, const ClusterConfig& config)
@@ -41,7 +43,7 @@ Cluster::Cluster(sim::Engine& engine, const ClusterConfig& config)
 
   if (config_.num_hosts > 1) {
     if (config_.transport == Transport::kRdma) {
-      wire_rdma(engine);
+      wire_rdma();
     } else {
       wire_tcp(engine);
     }
@@ -62,49 +64,49 @@ Cluster::Cluster(sim::Engine& engine, const ClusterConfig& config)
   }
 }
 
-void Cluster::wire_rdma(sim::Engine& engine) {
-  const int n = config_.num_hosts;
-  for (int i = 0; i < n; ++i) {
+std::pair<std::unique_ptr<ring::Wire>, std::unique_ptr<ring::Wire>>
+Cluster::connect_rdma(Host& a, Host& b, net::Link& forward,
+                      net::Link& backward, int link_id) {
+  auto make_cq = [this](Host& h) -> rdma::CompletionQueue& {
+    h.cqs.push_back(std::make_unique<rdma::CompletionQueue>(
+        engine_, h.device->attr().max_cq_entries));
+    return *h.cqs.back();
+  };
+  rdma::CompletionQueue& a_scq = make_cq(a);
+  rdma::CompletionQueue& a_rcq = make_cq(a);
+  rdma::CompletionQueue& b_scq = make_cq(b);
+  rdma::CompletionQueue& b_rcq = make_cq(b);
+  rdma::QueuePair& qp_a = a.device->create_qp(&a_scq, &a_rcq);
+  rdma::QueuePair& qp_b = b.device->create_qp(&b_scq, &b_rcq);
+  // Endpoint a transmits on the data direction; b's transmissions
+  // (credits) ride the reverse direction.
+  rdma::connect(qp_a, qp_b, forward, backward);
+  if (injector_ != nullptr && link_id >= 0) {
+    // Link ids: the data direction of edge i is link i, the credit
+    // direction is link n + i (fault plans usually target the data side).
+    qp_a.attach_fault_injector(injector_.get(), link_id);
+    qp_b.attach_fault_injector(injector_.get(), config_.num_hosts + link_id);
+  }
+  return {std::make_unique<ring::RdmaWire>(*a.device, qp_a, a_scq, a_rcq,
+                                           config_.rdma_wire),
+          std::make_unique<ring::RdmaWire>(*b.device, qp_b, b_scq, b_rcq,
+                                           config_.rdma_wire)};
+}
+
+void Cluster::wire_rdma() {
+  for (int i = 0; i < config_.num_hosts; ++i) {
     const int succ = fabric_.successor(i);
     Host& a = *hosts_[static_cast<std::size_t>(i)];     // sends data i -> succ
     Host& b = *hosts_[static_cast<std::size_t>(succ)];  // sends credits back
-
-    auto make_cq = [&](Host& h) -> rdma::CompletionQueue& {
-      h.cqs.push_back(std::make_unique<rdma::CompletionQueue>(
-          engine, h.device->attr().max_cq_entries));
-      return *h.cqs.back();
-    };
-    rdma::CompletionQueue& a_scq = make_cq(a);
-    rdma::CompletionQueue& a_rcq = make_cq(a);
-    rdma::CompletionQueue& b_scq = make_cq(b);
-    rdma::CompletionQueue& b_rcq = make_cq(b);
-
-    rdma::QueuePair& qp_a = a.device->create_qp(&a_scq, &a_rcq);
-    rdma::QueuePair& qp_b = b.device->create_qp(&b_scq, &b_rcq);
-    // Endpoint a transmits on the data direction; b's transmissions
-    // (credits) ride the reverse direction of the same duplex link.
-    net::Link& data = fabric_.data_link(i);
-    net::Link& credit = fabric_.control_link(succ);
-    rdma::connect(qp_a, qp_b, data, credit);
-    if (injector_ != nullptr) {
-      // Link ids: the data direction of edge i is link i, the credit
-      // direction is link n + i (fault plans usually target the data side).
-      qp_a.attach_fault_injector(injector_.get(), i);
-      qp_b.attach_fault_injector(injector_.get(), n + i);
-    }
-
-    a.out_wire = std::make_unique<ring::RdmaWire>(*a.device, qp_a, a_scq, a_rcq,
-                                                  config_.rdma_wire);
-    b.in_wire = std::make_unique<ring::RdmaWire>(*b.device, qp_b, b_scq, b_rcq,
-                                                 config_.rdma_wire);
+    std::tie(a.out_wire, b.in_wire) = connect_rdma(
+        a, b, fabric_.data_link(i), fabric_.control_link(succ), i);
   }
 }
 
 sim::Task<void> Cluster::splice_around(int dead) {
   CJ_CHECK_MSG(config_.transport == Transport::kRdma,
                "ring repair is only implemented for the RDMA transport");
-  const int n = config_.num_hosts;
-  CJ_CHECK_MSG(n >= 3, "ring repair needs at least three hosts");
+  CJ_CHECK_MSG(config_.num_hosts >= 3, "ring repair needs at least three hosts");
   const int pred = fabric_.predecessor(dead);
   const int succ = fabric_.successor(dead);
   Host& p = *hosts_[static_cast<std::size_t>(pred)];
@@ -114,26 +116,10 @@ sim::Task<void> Cluster::splice_around(int dead) {
   repair->link = std::make_unique<net::DuplexLink>(
       engine_, config_.link,
       "repair[" + std::to_string(pred) + "->" + std::to_string(succ) + "]");
-
-  auto make_cq = [&](Host& h) -> rdma::CompletionQueue& {
-    h.cqs.push_back(std::make_unique<rdma::CompletionQueue>(
-        engine_, h.device->attr().max_cq_entries));
-    return *h.cqs.back();
-  };
-  rdma::CompletionQueue& p_scq = make_cq(p);
-  rdma::CompletionQueue& p_rcq = make_cq(p);
-  rdma::CompletionQueue& s_scq = make_cq(s);
-  rdma::CompletionQueue& s_rcq = make_cq(s);
-  rdma::QueuePair& qp_p = p.device->create_qp(&p_scq, &p_rcq);
-  rdma::QueuePair& qp_s = s.device->create_qp(&s_scq, &s_rcq);
-  rdma::connect(qp_p, qp_s, repair->link->forward, repair->link->backward);
-  // The replacement link carries no injected faults: its fresh link ids
-  // have no specs, and a flaky repair path would just re-trigger recovery.
-
-  repair->pred_out = std::make_unique<ring::RdmaWire>(*p.device, qp_p, p_scq,
-                                                      p_rcq, config_.rdma_wire);
-  repair->succ_in = std::make_unique<ring::RdmaWire>(*s.device, qp_s, s_scq,
-                                                     s_rcq, config_.rdma_wire);
+  // The replacement link carries no injected faults (link id -1): a flaky
+  // repair path would just re-trigger recovery.
+  std::tie(repair->pred_out, repair->succ_in) = connect_rdma(
+      p, s, repair->link->forward, repair->link->backward, /*link_id=*/-1);
 
   if (obs::Tracer* t = engine_.tracer()) {
     t->instant(engine_.now(), obs::kGlobalHost, "fault", "fault.splice", dead);

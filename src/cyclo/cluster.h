@@ -65,7 +65,13 @@ class Cluster {
     std::unique_ptr<ring::Wire> succ_in;
   };
 
-  void wire_rdma(sim::Engine& engine);
+  /// A fresh QP pair carrying data a -> b over `forward` and credits back
+  /// over `backward`; returns (a's out wire, b's in wire). A `link_id` >= 0
+  /// attaches the fault injector, if any.
+  std::pair<std::unique_ptr<ring::Wire>, std::unique_ptr<ring::Wire>>
+  connect_rdma(Host& a, Host& b, net::Link& forward, net::Link& backward,
+               int link_id);
+  void wire_rdma();
   void wire_tcp(sim::Engine& engine);
 
   sim::Engine& engine_;

@@ -83,7 +83,7 @@ struct ClusterConfig {
   obs::prof::ProfileConfig profile;
 
   /// Flight-recorder sizing + black-box triggers. Unlike the tracer the
-  /// recorder is *always on*: both runners install one unconditionally
+  /// recorder is *always on*: the runner installs one unconditionally
   /// (bounded memory, lock-free emits) and attach it to RunReport::flight.
   obs::FlightConfig flight;
 

@@ -1,18 +1,52 @@
+// The cyclo-join runner: the whole orchestration of one run, written once
+// for both execution backends. What differs between the deterministic sim
+// and the wall-clock rt backend sits behind the seam in cyclo/backend.h.
+//
+// The file has two layers. The plan/work layer validates and distributes a
+// run and builds the kernel closures: plain data plus std::function
+// closures with no engine affinity — a single implementation of it is what
+// makes the two backends result-identical (tests/rt_test.cpp). The Runner
+// drives that plan over a backend's hosts.
+//
+// Threading. On rt every host's coroutines run on that host's engine thread
+// and the crash watcher runs on its own thread; on sim all of it runs on the
+// one engine. Per-host state (plan, stats, adoption state, node) is touched
+// only from its host's engine, with the barriers providing happens-before
+// edges at phase boundaries. State shared across hosts (retire board, crash
+// set, termination flags) lives behind mu_ on both backends.
+//
+// Termination (resilient mode). A host's outstanding_unacked() is private
+// to its engine thread, so each host keeps an "injector done and all local
+// chunks acked" flag, recomputed on its own thread at every ack, at
+// injector completion and at the end of each recovery task. The detector
+// combines those flags with the shared retire board under mu_.
 #include "cyclo/cyclo_join.h"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstring>
 #include <deque>
+#include <functional>
+#include <map>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <set>
+#include <span>
 #include <utility>
 
+#include "common/assert.h"
+#include "cyclo/backend.h"
 #include "cyclo/chunk.h"
-#include "cyclo/cluster.h"
-#include "cyclo/runner_common.h"
-#include "cyclo/runner_rt.h"
+#include "join/hash_join.h"
+#include "join/join_result.h"
+#include "join/nested_loops.h"
+#include "join/sort_merge.h"
 #include "obs/analysis.h"
 #include "obs/flight.h"
 #include "obs/sampler.h"
+#include "ring/frame.h"
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/when_all.h"
@@ -21,35 +55,478 @@ namespace cj::cyclo {
 
 namespace {
 
-/// Default core-busy tag for untagged join work.
-const std::string kJoinTag = "join";
+using detail::Rendezvous;
 
-/// Nanosecond duration -> saturating microseconds for flight-record args.
-std::uint32_t duration_us(SimDuration ns) {
-  if (ns <= 0) return 0;
-  const SimDuration us = ns / kMicrosecond;
-  return us > 0xFFFFFFFF ? 0xFFFFFFFFu : static_cast<std::uint32_t>(us);
-}
+// ===== the plan/work layer =================================================
 
-/// Reusable all-hosts rendezvous.
-class Barrier {
- public:
-  Barrier(sim::Engine& engine, int parties) : remaining_(parties), event_(engine) {}
+/// One query's state on one host: its stationary fragment (prepared) and
+/// its partial result. With a single query this is classic cyclo-join;
+/// with several, one rotation feeds them all (Data Cyclotron mode).
+struct QueryState {
+  rel::Relation s_frag;  // released after setup (except nested loops)
 
-  sim::Task<void> arrive_and_wait() {
-    if (--remaining_ == 0) event_.set();
-    co_await event_.wait();
-  }
+  // Exactly one is populated, per algorithm.
+  std::optional<join::HashJoinStationary> hash;
+  std::vector<rel::Tuple> s_sorted;
+  std::vector<rel::Tuple> s_raw;
 
- private:
-  int remaining_;
-  sim::Event event_;
+  std::uint32_t band = 0;
+  const std::function<bool(const rel::Tuple&, const rel::Tuple&)>* predicate =
+      nullptr;
+  /// Core-busy billing tag (SharedQuery::tag; empty = the shared "join"
+  /// tag). Chunk work items keep pointers into this string — HostPlan's
+  /// query vector is sized once at plan time and never reallocates.
+  std::string tag;
+
+  join::JoinResult result{false};
+  /// Resilient mode only: partial results keyed by the rotating chunk's
+  /// origin host. A crash retracts R_dead by dropping its bucket — the
+  /// reported result is exactly (R \ R_dead) ⋈ (S \ S_dead).
+  std::vector<join::JoinResult> per_origin;
 };
 
-/// Everything one simulated host owns during a run beyond its share of the
-/// plan (which lives in RunPlan::hosts at a stable address).
+/// One host's share of the plan: its rotating fragment, its per-query
+/// stationary fragments, and (after setup) its wire-ready chunk slab.
+struct HostPlan {
+  rel::Relation r_frag;  // released after setup
+  std::vector<QueryState> queries;
+  ChunkSlab slab;  // filled by the rotating-side setup closure
+};
+
+/// The validated, distributed run: what every backend executes.
+struct RunPlan {
+  bool resilient = false;
+  /// Ring-neighbor replication (exact-result crash recovery) is active:
+  /// resilient mode plus the resilience.replicate knob.
+  bool replicate = false;
+  int radix_bits = 0;
+  std::vector<HostPlan> hosts;
+  /// Row counts per host at distribution time (degraded-loss accounting;
+  /// the fragments themselves are released after setup).
+  std::vector<std::uint64_t> r_rows;
+  std::vector<std::uint64_t> s_rows;
+
+  std::uint64_t global_chunks() const {
+    std::uint64_t global = 0;
+    for (const HostPlan& host : hosts) global += host.slab.num_chunks();
+    return global;
+  }
+};
+
+/// Validates the (cluster, spec, queries) combination and distributes the
+/// rotating and stationary relations evenly over the hosts. `queries` must
+/// outlive the plan: QueryState keeps pointers to the predicates.
+///
+/// When `frags` is non-null the distribute step is skipped entirely: host
+/// i's inputs are moved out of frags->rotating[i] / frags->stationary[i]
+/// (pre-placed fragments of a multi-round plan, see CycloJoin::
+/// run_fragments), `r` is ignored, and the single query's `stationary`
+/// pointer may be null. Everything downstream — setup closures, chunking,
+/// replication, the resilient protocol — is identical.
+RunPlan plan_run(const ClusterConfig& cluster, const JoinSpec& spec,
+                 const rel::Relation& r,
+                 const std::vector<SharedQuery>& queries,
+                 FragmentInputs* frags = nullptr) {
+  const int n = cluster.num_hosts;
+  CJ_CHECK_MSG(!queries.empty(), "a run needs at least one query");
+  if (frags != nullptr) {
+    CJ_CHECK_MSG(queries.size() == 1,
+                 "fragment-input runs are single-query rounds");
+    CJ_CHECK_MSG(frags->rotating.size() == static_cast<std::size_t>(n) &&
+                     frags->stationary.size() == static_cast<std::size_t>(n),
+                 "fragment inputs need exactly one fragment per host");
+  }
+  if (spec.algorithm == Algorithm::kNestedLoops) {
+    for (const auto& q : queries) {
+      CJ_CHECK_MSG(static_cast<bool>(q.predicate),
+                   "nested-loops cyclo-join needs a predicate");
+    }
+  }
+  CJ_CHECK_MSG(!spec.materialize || queries.size() == 1,
+               "materialization is only supported for single-query runs");
+
+  RunPlan plan;
+  plan.resilient = !cluster.fault.empty() && n > 1;
+  plan.replicate = plan.resilient && cluster.node.resilience.replicate;
+  // Materialization is safe in resilient mode: every add_match happens on
+  // the deduplicated join path (re-injected copies carry the duplicate
+  // flag and adopted joins consult the per-origin seen-sets), so the
+  // materialized multiset equals exactly what the count/checksum cover —
+  // exact under crash+replication, survivors-only in degraded runs. The
+  // multi-round plan executor (src/plan) relies on this to keep a crashed
+  // round's distributed output partitions usable downstream.
+  if (!cluster.fault.crashes.empty()) {
+    CJ_CHECK_MSG(cluster.fault.crashes.size() == 1,
+                 "the fault framework supports at most one host crash");
+    const sim::HostCrashSpec& crash = cluster.fault.crashes.front();
+    CJ_CHECK_MSG(crash.host >= 0 && crash.host < n, "crash host out of range");
+    CJ_CHECK_MSG(n >= 3, "surviving a crash needs at least three hosts");
+  }
+
+  auto r_frags =
+      frags != nullptr ? std::move(frags->rotating) : rel::split_even(r, n);
+  plan.hosts.resize(static_cast<std::size_t>(n));
+  plan.s_rows.assign(static_cast<std::size_t>(n), 0);
+  for (int i = 0; i < n; ++i) {
+    HostPlan& host = plan.hosts[static_cast<std::size_t>(i)];
+    host.r_frag = std::move(r_frags[static_cast<std::size_t>(i)]);
+    plan.r_rows.push_back(host.r_frag.rows());
+    host.queries.resize(queries.size());
+  }
+  std::size_t max_s_rows = 0;
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    CJ_CHECK(frags != nullptr || queries[q].stationary != nullptr);
+    auto s_frags = frags != nullptr
+                       ? std::move(frags->stationary)
+                       : rel::split_even(*queries[q].stationary, n);
+    for (int i = 0; i < n; ++i) {
+      QueryState& state = plan.hosts[static_cast<std::size_t>(i)].queries[q];
+      state.s_frag = std::move(s_frags[static_cast<std::size_t>(i)]);
+      state.band = queries[q].band;
+      state.predicate = &queries[q].predicate;
+      state.tag = queries[q].tag;
+      state.result = join::JoinResult(spec.materialize);
+      if (plan.resilient) {
+        state.per_origin.reserve(static_cast<std::size_t>(n));
+        for (int o = 0; o < n; ++o) {
+          state.per_origin.emplace_back(spec.materialize);
+        }
+      }
+      plan.s_rows[static_cast<std::size_t>(i)] += state.s_frag.rows();
+      max_s_rows = std::max(max_s_rows, state.s_frag.rows());
+    }
+  }
+  // Radix bits are a global agreement (every R chunk must be partitioned
+  // exactly like every host's — and every query's — S_i).
+  plan.radix_bits = join::choose_radix_bits(max_s_rows, spec.radix);
+  return plan;
+}
+
+// ----- ring-neighbor replication (exact-result crash recovery) ------------
+//
+// With resilience.replicate on, every host streams its crash-relevant state
+// to its ring successor during a dedicated replication phase (between
+// transport bring-up and the join phase, so a scheduled crash can never
+// interrupt it): the stationary fragment S_i of every query, in pieces, and
+// a byte-exact copy of every encoded chunk of its rotating slab. Each
+// record rides one kReplica frame (checksummed, acked, re-sent on timeout)
+// and is prefixed by this header.
+
+enum class ReplicaKind : std::uint32_t { kStationary = 0, kRotating = 1 };
+
+struct ReplicaHeader {
+  ReplicaKind kind = ReplicaKind::kStationary;
+  std::uint32_t query = 0;  ///< kStationary: query index (0 otherwise)
+  /// kStationary: piece index; kRotating: the chunk's slab index, which is
+  /// also its ring sequence number (the injector assigns seqs in slab
+  /// order) — the key the adopter uses to match the retire board and the
+  /// seen-set against the replica log.
+  std::uint32_t seq = 0;
+  std::uint32_t count = 0;  ///< kStationary: tuples in this piece
+};
+static_assert(sizeof(ReplicaHeader) == 16);
+
+/// One host's durable copy of its predecessor's crash-relevant state.
+/// Filled by the node's on_replica callback (one-hop kReplica frames,
+/// deduplicated at the ring layer); promoted to a live join partition by
+/// the adoption step after the predecessor crashes.
+struct ReplicaStore {
+  int origin = -1;  ///< predecessor that streamed this state
+  /// Per query: the predecessor's stationary fragment (piece order is
+  /// irrelevant — the adopter re-hashes / re-sorts during promotion).
+  std::vector<std::vector<rel::Tuple>> s_tuples;
+  /// Byte-exact encoded chunks of the predecessor's rotating slab, keyed
+  /// by slab index == ring sequence number.
+  std::map<std::uint32_t, std::vector<std::byte>> r_chunks;
+
+  void absorb(int from, std::span<const std::byte> record) {
+    CJ_CHECK_MSG(record.size() >= sizeof(ReplicaHeader),
+                 "truncated replica record");
+    CJ_CHECK_MSG(origin == -1 || origin == from,
+                 "replica records from two different predecessors");
+    origin = from;
+    ReplicaHeader header;
+    std::memcpy(&header, record.data(), sizeof(ReplicaHeader));
+    const auto body = record.subspan(sizeof(ReplicaHeader));
+    if (header.kind == ReplicaKind::kStationary) {
+      if (s_tuples.size() <= header.query) s_tuples.resize(header.query + 1);
+      CJ_CHECK_MSG(body.size() == header.count * sizeof(rel::Tuple),
+                   "stationary replica piece size mismatch");
+      auto& dst = s_tuples[header.query];
+      const std::size_t old = dst.size();
+      dst.resize(old + header.count);
+      std::memcpy(dst.data() + old, body.data(), body.size());
+    } else {
+      CJ_CHECK_MSG(header.kind == ReplicaKind::kRotating,
+                   "unknown replica record kind");
+      r_chunks[header.seq].assign(body.begin(), body.end());
+    }
+  }
+};
+
+/// Builds every replica record host `host` streams to its successor: the
+/// stationary fragments split into `max_record_bytes`-sized pieces, then
+/// the rotating slab chunk by chunk. Call after setup (the slab must be
+/// written) and before the stationary fragments are released. Each record
+/// (header + body) is owned storage: the ring node sends replica payloads
+/// by reference, so records must outlive replicas_drained().
+std::vector<std::vector<std::byte>> build_replica_records(
+    const HostPlan& host, std::size_t max_record_bytes) {
+  CJ_CHECK(max_record_bytes > sizeof(ReplicaHeader) + sizeof(rel::Tuple));
+  const std::size_t body_budget = max_record_bytes - sizeof(ReplicaHeader);
+  const std::size_t tuples_per_piece = body_budget / sizeof(rel::Tuple);
+  std::vector<std::vector<std::byte>> records;
+  const auto add = [&records](ReplicaHeader header,
+                              std::span<const std::byte> body) {
+    std::vector<std::byte>& record = records.emplace_back(
+        sizeof(ReplicaHeader) + body.size());
+    std::memcpy(record.data(), &header, sizeof(ReplicaHeader));
+    std::memcpy(record.data() + sizeof(ReplicaHeader), body.data(),
+                body.size());
+  };
+  for (std::size_t q = 0; q < host.queries.size(); ++q) {
+    const auto tuples = host.queries[q].s_frag.tuples();
+    std::uint32_t piece = 0;
+    for (std::size_t off = 0; off < tuples.size(); off += tuples_per_piece) {
+      const std::size_t n = std::min(tuples_per_piece, tuples.size() - off);
+      add({ReplicaKind::kStationary, static_cast<std::uint32_t>(q), piece++,
+           static_cast<std::uint32_t>(n)},
+          std::as_bytes(tuples.subspan(off, n)));
+    }
+  }
+  for (std::size_t c = 0; c < host.slab.num_chunks(); ++c) {
+    const auto chunk = host.slab.chunk(c);
+    CJ_CHECK_MSG(chunk.size() <= body_budget,
+                 "slab chunk exceeds the replica record budget");
+    add({ReplicaKind::kRotating, 0, static_cast<std::uint32_t>(c), 0}, chunk);
+  }
+  return records;
+}
+
+/// The closure that prepares one query's stationary state from `tuples`
+/// (hash build, sort, or plain copy, per algorithm). `tuples` must stay
+/// valid until the closure ran.
+std::function<void()> stationary_setup(const JoinSpec& spec, int radix_bits,
+                                       std::span<const rel::Tuple> tuples,
+                                       QueryState* state) {
+  const join::RadixConfig radix = spec.radix;
+  switch (spec.algorithm) {
+    case Algorithm::kHashJoin:
+      return [state, tuples, radix_bits, radix] {
+        state->hash = join::HashJoinStationary::build(tuples, radix_bits, radix);
+      };
+    case Algorithm::kSortMergeJoin:
+      return [state, tuples] {
+        state->s_sorted.assign(tuples.begin(), tuples.end());
+        join::sort_fragment(state->s_sorted);
+      };
+    case Algorithm::kNestedLoops:
+      return [state, tuples] { state->s_raw.assign(tuples.begin(), tuples.end()); };
+  }
+  return {};
+}
+
+/// Splits [0, n) into `parts` near-even contiguous ranges.
+std::vector<std::pair<std::size_t, std::size_t>> split_ranges(
+    std::size_t n, int parts) {
+  std::vector<std::pair<std::size_t, std::size_t>> out;
+  const auto p = static_cast<std::size_t>(std::max(1, parts));
+  for (std::size_t i = 0; i < p; ++i) {
+    const std::size_t begin = n * i / p;
+    const std::size_t end = n * (i + 1) / p;
+    if (begin != end) out.emplace_back(begin, end);
+  }
+  return out;
+}
+
+/// A contiguous range of one partition's tuples within a chunk: the unit of
+/// probe work handed to one join thread. Probes are per-tuple, so a run may
+/// be split at any point — this is what keeps all join threads busy even
+/// when a chunk holds fewer partitions than the host has cores.
+struct ProbeSlice {
+  std::uint32_t partition_id;
+  std::size_t tuple_offset;  // offset into the chunk's tuple array
+  std::size_t count;
+};
+
+std::vector<std::vector<ProbeSlice>> split_probe_work(
+    std::span<const PartitionRun> runs, int parts) {
+  std::uint64_t total = 0;
+  for (const auto& run : runs) total += run.count;
+  std::vector<std::vector<ProbeSlice>> groups;
+  if (total == 0) return groups;
+
+  const std::uint64_t per_group = (total + static_cast<std::uint64_t>(parts) - 1) /
+                                  static_cast<std::uint64_t>(parts);
+  groups.emplace_back();
+  std::uint64_t group_fill = 0;
+  std::size_t offset = 0;
+  for (const auto& run : runs) {
+    std::size_t run_offset = 0;
+    while (run_offset < run.count) {
+      if (group_fill >= per_group) {
+        groups.emplace_back();
+        group_fill = 0;
+      }
+      const std::size_t take = std::min<std::size_t>(
+          run.count - run_offset, static_cast<std::size_t>(per_group - group_fill));
+      groups.back().push_back(
+          ProbeSlice{run.partition_id, offset + run_offset, take});
+      group_fill += take;
+      run_offset += take;
+    }
+    offset += run.count;
+  }
+  return groups;
+}
+
+/// Join work is over-decomposed (kTasksPerThread work items per join
+/// thread) so that one slow item — e.g. the item that first pulls an S
+/// partition into cache — does not idle the other join threads at the
+/// per-chunk barrier.
+constexpr int kTasksPerThread = 4;
+
+/// Builds host `origin`'s setup-phase closures: one per query's stationary
+/// fragment plus one for the rotating slab. The caller schedules each on a
+/// core (tag "setup"). `host` must stay at a stable address until every
+/// closure has run.
+std::vector<std::function<void()>> setup_closures(
+    const JoinSpec& spec, int radix_bits, ChunkWriter writer, int origin,
+    HostPlan* host) {
+  std::vector<std::function<void()>> out;
+  for (auto& query : host->queries) {
+    out.push_back(
+        stationary_setup(spec, radix_bits, query.s_frag.tuples(), &query));
+  }
+  const join::RadixConfig radix = spec.radix;
+  switch (spec.algorithm) {
+    case Algorithm::kHashJoin:
+      out.push_back([host, writer, origin, radix_bits, radix] {
+        join::PartitionedData r_parts = join::radix_cluster(
+            host->r_frag.tuples(), radix_bits, radix.bits_per_pass,
+            radix.kernel);
+        host->slab = writer.from_partitioned(r_parts, origin);
+      });
+      break;
+    case Algorithm::kSortMergeJoin:
+      out.push_back([host, writer, origin] {
+        std::vector<rel::Tuple> r_sorted(host->r_frag.tuples().begin(),
+                                         host->r_frag.tuples().end());
+        join::sort_fragment(r_sorted);
+        host->slab = writer.from_sorted(r_sorted, origin);
+      });
+      break;
+    case Algorithm::kNestedLoops:
+      out.push_back([host, writer, origin] {
+        host->slab = writer.from_raw(host->r_frag.tuples(), origin);
+      });
+      break;
+  }
+  return out;
+}
+
+/// One chunk's join work against every query on one host: per-item
+/// closures writing into per-item partial results, merged into the
+/// per-query sinks after all items ran. The struct must stay at a stable
+/// address while the items run (closures point into `partials`).
+struct ChunkJoinWork {
+  // deque: references to elements stay valid while later queries append.
+  std::deque<join::JoinResult> partials;
+  std::vector<join::JoinResult*> sinks;  ///< parallel to partials
+  std::vector<std::function<void()>> items;
+  /// Parallel to items: the owning query's billing tag (QueryState::tag;
+  /// empty = the shared "join" tag).
+  std::vector<const std::string*> tags;
+
+  /// Call after every item completed (single-threaded with respect to the
+  /// sinks — each host merges only into its own QueryStates).
+  void merge_into_sinks() {
+    for (std::size_t p = 0; p < partials.size(); ++p) {
+      sinks[p]->merge(partials[p]);
+    }
+  }
+};
+
+/// One chunk's join work against a single query's stationary state, written
+/// into `sink`. Shared by the regular per-host path (join_chunk) and
+/// the adopter's promoted-replica partition.
+void build_query_chunk_work(const JoinSpec& spec, int radix_bits,
+                            QueryState& query, join::JoinResult* sink,
+                            const ChunkView& view, ChunkJoinWork& out) {
+  const int parts = spec.join_threads * kTasksPerThread;
+  QueryState* state = &query;
+  // Each item joins into its own partial (a deque: addresses stay stable).
+  const auto add_item = [&](auto join_into) {
+    join::JoinResult* partial = &out.partials.emplace_back(spec.materialize);
+    out.sinks.push_back(sink);
+    out.tags.push_back(&state->tag);
+    out.items.push_back(
+        [join_into = std::move(join_into), partial] { join_into(*partial); });
+  };
+  switch (spec.algorithm) {
+    case Algorithm::kHashJoin:
+      CJ_CHECK_MSG(view.kind == ChunkKind::kPartitioned,
+                   "hash cyclo-join received a non-partitioned chunk");
+      CJ_CHECK_MSG(view.radix_bits == radix_bits,
+                   "chunk partitioned with different radix bits");
+      for (auto& slices : split_probe_work(view.runs, parts)) {
+        add_item([state, view, slices = std::move(slices)](
+                     join::JoinResult& partial) {
+          for (const ProbeSlice& slice : slices) {
+            state->hash->probe_partition(
+                slice.partition_id,
+                view.tuples.subspan(slice.tuple_offset, slice.count), partial);
+          }
+        });
+      }
+      break;
+    case Algorithm::kSortMergeJoin: {
+      CJ_CHECK_MSG(view.kind == ChunkKind::kSorted,
+                   "sort-merge cyclo-join received an unsorted chunk");
+      const std::uint32_t band = state->band;
+      const join::KernelConfig kernel = spec.radix.kernel;
+      for (const auto& range : split_ranges(view.tuples.size(), parts)) {
+        add_item([state, view, range, band, kernel](join::JoinResult& partial) {
+          auto r_range =
+              view.tuples.subspan(range.first, range.second - range.first);
+          auto window = join::matching_window(
+              state->s_sorted, r_range.front().key, r_range.back().key, band);
+          join::band_merge_join(r_range, window, band, partial, kernel);
+        });
+      }
+      break;
+    }
+    case Algorithm::kNestedLoops:
+      for (const auto& range : split_ranges(view.tuples.size(), parts)) {
+        add_item([state, view, range](join::JoinResult& partial) {
+          join::nested_loops_join(
+              view.tuples.subspan(range.first, range.second - range.first),
+              std::span<const rel::Tuple>(state->s_raw), *state->predicate,
+              partial);
+        });
+      }
+      break;
+  }
+}
+
+/// Runs one join work item under the host's join-thread limit.
+sim::Task<void> guarded(sim::Semaphore& slots, sim::Task<void> inner) {
+  co_await slots.acquire();
+  co_await std::move(inner);
+  slots.release();
+}
+
+// ===== the runner ===========================================================
+
+/// Core-busy tags: untagged join work, and joins against an adopted
+/// partition.
+const std::string kJoinTag = "join";
+const std::string kAdoptTag = "adopt";
+
+/// Everything one host owns during a run beyond its share of the plan
+/// (which lives in RunPlan::hosts at a stable address).
 struct HostRun {
-  detail::HostPlan* plan = nullptr;
+  HostPlan* plan = nullptr;
 
   // Join-phase concurrency limiter: at most `join_threads` join tasks run
   // at once (the work is over-decomposed for load balancing, so the task
@@ -57,15 +534,18 @@ struct HostRun {
   std::unique_ptr<sim::Semaphore> join_slots;
 
   HostStats stats;
-  SimDuration busy_at_join_start = 0;
-  SimTime join_started_at = 0;
+  SimTime done_at = 0;
+  /// Set once the injector sent its last first copy (resilient mode); the
+  /// replay task awaits it so replay seqs extend the slab numbering instead
+  /// of colliding with it.
+  std::unique_ptr<sim::Event> injector_done;
 
-  // ----- adoption state (resilience.replicate; installed by the crash
-  // watcher on the dead host's surviving successor only) -----------------
+  // ----- adoption state (resilience.replicate; installed on the dead
+  // host's surviving successor only, on that host's engine) --------------
   /// Dead origin this host adopted (-1: none).
   int adopted_origin = -1;
   /// The promoted replica partition: one state per query, `result` as sink.
-  std::vector<detail::QueryState> adopted;
+  std::vector<QueryState> adopted;
   /// Per origin: seqs already joined against the adopted partition. At
   /// install time each surviving origin's entry is pre-marked with the
   /// seen-set snapshot — those chunks' adopted joins arrive as replay
@@ -76,160 +556,175 @@ struct HostRun {
   std::unique_ptr<sim::Event> adoption_ready;
 };
 
-class Runner {
+class Runner final : public detail::CrashHandler {
  public:
-  Runner(const ClusterConfig& cluster_cfg, const JoinSpec& spec,
+  Runner(const ClusterConfig& cfg, const JoinSpec& spec,
          const rel::Relation& r, const std::vector<SharedQuery>& queries,
          FragmentInputs* frags = nullptr)
-      : cluster_cfg_(cluster_cfg),
+      : cfg_(cfg),
         spec_(spec),
-        cluster_(engine_, cluster_cfg),
-        n_(cluster_cfg.num_hosts),
+        n_(cfg.num_hosts),
         queries_(queries),  // owned copy: QueryState keeps pointers into it
-        num_queries_(queries.size()),
-        plan_(detail::plan_run(cluster_cfg_, spec_, r, queries_, frags)),
-        setup_barrier_(engine_, n_),
-        start_barrier_(engine_, n_),
-        replicate_barrier_(engine_, n_),
-        join_barrier_(engine_, n_) {
-    if (plan_.resilient) retired_board_.resize(static_cast<std::size_t>(n_));
-    hosts_.resize(static_cast<std::size_t>(n_));
-    for (int i = 0; i < n_; ++i) {
-      auto& host = hosts_[static_cast<std::size_t>(i)];
-      host = std::make_unique<HostRun>();
-      host->plan = &plan_.hosts[static_cast<std::size_t>(i)];
-      host->join_slots =
-          std::make_unique<sim::Semaphore>(engine_, spec_.join_threads);
-    }
-  }
+        created_(sim::Engine::WallClock::now()),
+        plan_(plan_run(cfg_, spec_, r, queries_, frags)) {}
 
   SharedRunReport execute() {
     // The flight recorder is always on: bounded memory, lock-free emits,
     // installed before any node can run (ring/node.cpp reads it per hop).
-    flight_ = std::make_shared<obs::FlightRecorder>(n_, cluster_cfg_.flight);
-    engine_.set_flight(flight_.get());
-    if (cluster_cfg_.trace.enabled) {
-      tracer_ = std::make_shared<obs::Tracer>();
-      engine_.set_tracer(tracer_.get());
-    }
-    if (cluster_cfg_.profile.enabled) {
+    flight_ = std::make_shared<obs::FlightRecorder>(n_, cfg_.flight);
+    if (cfg_.trace.enabled) tracer_ = std::make_shared<obs::Tracer>();
+    if (cfg_.profile.enabled) {
       profiler_ = std::make_unique<obs::prof::KernelProfiler>();
     }
-    inject_times_.resize(static_cast<std::size_t>(n_));
-    if (plan_.resilient) {
-      // The termination detector listens on every origin's retire acks; it
-      // must be installed before any node starts.
-      for (int i = 0; i < n_; ++i) {
-        cluster_.node(i).set_on_ack([this] { maybe_finish(); });
-      }
-      injector_done_.resize(static_cast<std::size_t>(n_));
-      for (int i = 0; i < n_; ++i) {
-        injector_done_[static_cast<std::size_t>(i)] = std::make_unique<sim::Event>(
-            engine_, "injector-done" + std::to_string(i));
+    backend_ = cfg_.backend == Backend::kRt
+                   ? detail::make_rt_backend(cfg_, plan_.resilient, created_,
+                                             flight_.get(), tracer_.get())
+                   : detail::make_sim_backend(cfg_, flight_.get(), tracer_.get());
+    const auto n = static_cast<std::size_t>(n_);
+    inject_times_.resize(n);
+    retired_board_.resize(n);
+    acked_clear_.assign(n, false);
+    replicas_.resize(n);
+    replica_records_.resize(n);
+    for (int i = 0; i < n_; ++i) {
+      auto host = std::make_unique<HostRun>();
+      host->plan = &plan_.hosts[static_cast<std::size_t>(i)];
+      host->join_slots =
+          std::make_unique<sim::Semaphore>(engine(i), spec_.join_threads);
+      if (plan_.resilient) {
+        host->injector_done =
+            std::make_unique<sim::Event>(engine(i), "injector-done");
+        // Runs on host i's engine each time one of i's local chunks is
+        // acknowledged (must be installed before any node starts).
+        node(i).set_on_ack([this, i] { refresh_host(i); });
       }
       if (plan_.replicate) {
-        replicas_.resize(static_cast<std::size_t>(n_));
-        replica_records_.resize(static_cast<std::size_t>(n_));
-        for (int i = 0; i < n_; ++i) {
-          cluster_.node(i).set_on_replica(
-              [this, i](int origin, std::span<const std::byte> record) {
-                replicas_[static_cast<std::size_t>(i)].absorb(origin, record);
-              });
-        }
+        // Runs on host i's engine (the receiver consumes kReplica frames
+        // inline), so the store needs no lock.
+        node(i).set_on_replica(
+            [this, i](int origin, std::span<const std::byte> record) {
+              replicas_[static_cast<std::size_t>(i)].absorb(origin, record);
+            });
       }
-      for (const sim::HostCrashSpec& crash : cluster_cfg_.fault.crashes) {
-        engine_.spawn(crash_watcher(crash),
-                      "crash-watcher" + std::to_string(crash.host));
-      }
+      hosts_.push_back(std::move(host));
+      // Roots are spawned before any engine runs (on rt, the engine
+      // threads' creation publishes them).
+      engine(i).spawn(host_process(i), "host" + std::to_string(i));
     }
-    for (int i = 0; i < n_; ++i) {
-      engine_.spawn(host_process(i), "host" + std::to_string(i));
+    // Live telemetry: a background sampler thread snapshots the metrics
+    // registry and runs the straggler detector over fresh recorder records
+    // while the ring spins (engines share an epoch, so any host's now()
+    // yields coherent sample timestamps).
+    if (backend_->live_sampling()) {
+      sampler_ = std::make_unique<obs::LiveSampler>(
+          cfg_.sampler, &metrics_, flight_.get(), tracer_.get(), n_,
+          [this] { return engine(0).now(); });
+      sampler_->start();
     }
-    engine_.run();
-    engine_.check_all_complete();
+    backend_->run(*this);
+    // Final sample + lane drain happen inside stop(); the detector's
+    // verdicts are read (single-threaded again) in fill_metrics.
+    if (sampler_ != nullptr) sampler_->stop();
     return build_report();
   }
 
  private:
+  HostRun& host(int i) { return *hosts_[static_cast<std::size_t>(i)]; }
+  sim::Engine& engine(int i) { return backend_->engine(i); }
+  sim::CorePool& cores(int i) { return backend_->cores(i); }
+  ring::RoundaboutNode& node(int i) { return backend_->node(i); }
+
   sim::Task<void> host_process(int i) {
-    HostRun& host = *hosts_[static_cast<std::size_t>(i)];
-    sim::CorePool& cores = cluster_.cores(i);
-    ring::RoundaboutNode& node = cluster_.node(i);
+    HostRun& host = this->host(i);
+    sim::Engine& engine = this->engine(i);
+    sim::CorePool& cores = this->cores(i);
+    ring::RoundaboutNode& node = this->node(i);
 
     // ---- setup phase -------------------------------------------------
-    const SimTime setup_start = engine_.now();
-    if (obs::Tracer* t = engine_.tracer()) t->begin(setup_start, i, "phase", "setup");
-    co_await run_setup(i);
-    flush_profile();
-    if (obs::Tracer* t = engine_.tracer()) t->end(engine_.now(), i, "phase");
-    host.stats.setup = engine_.now() - setup_start;
-    if (plan_.replicate && n_ > 1) {
+    // Every query's stationary state plus the rotating slab, prepared on
+    // this host's cores: one task per stationary fragment, one for the
+    // rotating side, all competing for the cores like the paper's parallel
+    // hash-build/sort setup. Resilient frames travel in-buffer ahead of the
+    // payload, so chunks leave them headroom (or a full chunk would overflow
+    // the ring buffer); with replication on, chunks additionally ride inside
+    // replica records and leave room for the record header too.
+    const SimTime setup_start = engine.now();
+    if (obs::Tracer* t = engine.tracer()) t->begin(setup_start, i, "phase", "setup");
+    {
+      const ChunkWriter writer(
+          cfg_.node.buffer_bytes - (plan_.resilient ? ring::kFrameBytes : 0) -
+          (plan_.replicate ? sizeof(ReplicaHeader) : 0));
+      std::vector<sim::Task<void>> tasks;
+      for (auto& fn :
+           setup_closures(spec_, plan_.radix_bits, writer, i, host.plan)) {
+        tasks.push_back(cores.run(profiled(i, std::move(fn)), "setup"));
+      }
+      co_await sim::when_all(engine, std::move(tasks));
+    }
+    flush_profile(engine);
+    if (obs::Tracer* t = engine.tracer()) t->end(engine.now(), i, "phase");
+    host.stats.setup = engine.now() - setup_start;
+    if (plan_.replicate) {
       // Serialize this host's crash-relevant state (S_i pieces + the slab's
       // encoded chunks) while the fragments are still resident; the records
       // stream to the successor once the ring is up.
-      replica_records_[static_cast<std::size_t>(i)] = detail::build_replica_records(
-          *host.plan, cluster_cfg_.node.buffer_bytes - ring::kFrameBytes);
+      replica_records_[static_cast<std::size_t>(i)] = build_replica_records(
+          *host.plan, cfg_.node.buffer_bytes - ring::kFrameBytes);
     }
     host.plan->r_frag = rel::Relation();  // originals no longer needed
     if (spec_.algorithm != Algorithm::kNestedLoops) {
       for (auto& query : host.plan->queries) query.s_frag = rel::Relation();
     }
 
-    co_await setup_barrier_.arrive_and_wait();
+    co_await backend_->arrive_and_wait(Rendezvous::kSetupDone, i);
 
     // ---- transport bring-up -------------------------------------------
-    // Counts are known only now (chunking is data-dependent).
+    // Counts are known only now (chunking is data-dependent); the barrier
+    // above also publishes every host's slab. With retire acks every host
+    // sends and receives exactly G messages (see ring/node.h).
+    // Replica records are sent from where they were serialized, so they
+    // register up front like the slab (Sec. III-C: never on the data path).
+    auto& records = replica_records_[static_cast<std::size_t>(i)];
     {
       std::vector<std::span<std::byte>> slabs;
       ring::NodeCounts counts;
       if (n_ > 1) {
         slabs.push_back(host.plan->slab.slab());
-        // Replica records are sent from where they were serialized, so they
-        // register up front like the slab (Sec. III-C: never on the data
-        // path).
-        if (plan_.replicate) {
-          for (auto& record : replica_records_[static_cast<std::size_t>(i)]) {
-            slabs.push_back(record);
-          }
-        }
-        counts = counts_for(i);
+        slabs.insert(slabs.end(), records.begin(), records.end());
+        counts = ring::NodeCounts{plan_.global_chunks(), plan_.global_chunks()};
       }
       const Status started = co_await node.start(counts, std::move(slabs));
       CJ_CHECK_MSG(started.is_ok(), started.to_string().c_str());
     }
-    co_await start_barrier_.arrive_and_wait();
-    if (plan_.replicate && n_ > 1) {
+    co_await backend_->arrive_and_wait(Rendezvous::kTransportUp, i);
+    if (plan_.replicate) {
       // ---- replication phase -------------------------------------------
       // Stream the replica of this host's state one hop ahead, then wait
       // until the successor acked every record. The barrier (and the crash
       // gate staying closed until after it) guarantees a crash never
       // interrupts replication: every host's replica is complete before
       // any chunk rotates.
-      if (obs::Tracer* t = engine_.tracer()) {
-        t->begin(engine_.now(), i, "phase", "replicate");
+      if (obs::Tracer* t = engine.tracer()) {
+        t->begin(engine.now(), i, "phase", "replicate");
       }
-      for (const auto& record : replica_records_[static_cast<std::size_t>(i)]) {
-        co_await node.send_replica(record);
-      }
+      for (const auto& record : records) co_await node.send_replica(record);
       co_await node.replicas_drained();
-      co_await replicate_barrier_.arrive_and_wait();
+      co_await backend_->arrive_and_wait(Rendezvous::kReplicated, i);
       // The records stay resident (they are registered memory; freeing them
       // would leave stale regions in the protection domain).
-      if (obs::Tracer* t = engine_.tracer()) t->end(engine_.now(), i, "phase");
+      if (obs::Tracer* t = engine.tracer()) t->end(engine.now(), i, "phase");
     }
-    if (plan_.resilient) join_phase_started_.set();
+    if (plan_.resilient) backend_->open_crash_gate();
 
     // ---- join phase ----------------------------------------------------
-    host.join_started_at = engine_.now();
-    host.busy_at_join_start = cores.busy_total();
-    if (obs::Tracer* t = engine_.tracer()) {
-      t->begin(host.join_started_at, i, "phase", "join");
-    }
+    const SimTime join_start = engine.now();
+    const SimDuration busy_at_join_start = cores.busy_total();
+    if (obs::Tracer* t = engine.tracer()) t->begin(join_start, i, "phase", "join");
 
-    if (n_ > 1 && host.plan->slab.num_chunks() > 0) {
-      engine_.spawn(injector(i), "injector" + std::to_string(i));
-    } else if (plan_.resilient) {
-      injector_done_[static_cast<std::size_t>(i)]->set();
+    // A resilient injector runs even with nothing to inject: its end is
+    // what the termination detector and the replay task wait for.
+    if (plan_.resilient || (n_ > 1 && host.plan->slab.num_chunks() > 0)) {
+      engine.spawn(injector(i), "injector" + std::to_string(i));
     }
 
     // Local chunks first (they are resident), then arrivals in ring order.
@@ -243,7 +738,7 @@ class Runner {
     if (plan_.resilient) {
       // Dynamic termination: pull chunks until the retire-board detector
       // (or this host's own crash) delivers a stop chunk. An all-empty run
-      // produces no acks, so kick the detector once here.
+      // produces no acks or retires, so kick the detector once here.
       maybe_finish();
       while (true) {
         ring::InboundChunk inbound = co_await node.next_chunk();
@@ -259,50 +754,34 @@ class Runner {
         const ChunkView view = decode_chunk(inbound.payload);
         const int origin = inbound.origin;
         const std::uint32_t seq = inbound.seq;
-        const bool origin_dead = crashed_.count(origin) != 0;
-        if (inbound.replay) {
-          // Recovery replay copy: joined only at the adopter (against the
-          // adopted partition), forwarded by everyone else. Never touches
-          // the retire board — the original already accounted there.
-          if (host.adopted_origin >= 0 &&
-              host.adopted_seen[static_cast<std::size_t>(origin)]
-                  .insert(seq)
-                  .second) {
-            co_await join_adopted_chunk(i, view, origin, seq);
-          }
-          if (surviving_successor(i) == origin) {
-            node.retire(inbound);  // ack the replaying origin
-          } else {
-            node.forward(inbound);
-          }
-          continue;
-        }
-        if (origin_dead && !recovering_) {
-          // PR-1 degraded mode: a dead origin can neither take an ack nor
+        // The adopter joins every chunk once against the adopted partition:
+        // replay copies (of chunks it consumed before the install) and
+        // post-adoption arrivals not covered by the replay snapshot.
+        const bool adopted_join =
+            host.adopted_origin >= 0 && origin != host.adopted_origin &&
+            host.adopted_seen[static_cast<std::size_t>(origin)]
+                .insert(seq)
+                .second;
+        // A recovery replay copy is joined only at the adopter. It retires
+        // at its (live) origin's predecessor but never touches the retire
+        // board — the original already accounted there.
+        const int home = inbound.replay ? origin : retire_home(origin);
+        if (home < 0) {
+          // Degraded mode: a dead origin can neither take an ack nor
           // re-inject; retire its chunk quietly at the first surviving
           // host that notices.
           node.retire(inbound, /*send_ack=*/false);
           continue;
         }
-        if (!inbound.duplicate) co_await join_chunk(i, view, origin, seq);
-        if (host.adopted_origin >= 0 && origin != host.adopted_origin &&
-            host.adopted_seen[static_cast<std::size_t>(origin)]
-                .insert(seq)
-                .second) {
-          // Post-adoption arrival not covered by the replay snapshot: this
-          // is its only pass by the adopter, so its join against the
-          // adopted partition happens here.
-          co_await join_adopted_chunk(i, view, origin, seq);
+        if (!inbound.replay && !inbound.duplicate) {
+          co_await join_chunk(i, view, origin, seq);
         }
-        // Under recovery a dead origin's chunks stay first-class: they are
-        // joined everywhere and retire one hop before the adopter, which
-        // consumes their acks on the dead host's behalf.
-        const int home = origin_dead ? adopter_ : origin;
-        if (surviving_successor(i) == home) {
-          node.retire(inbound);  // full revolution completed
-          note_retired(origin, seq);
-        } else {
+        if (adopted_join) co_await join_adopted_chunk(i, view, origin, seq);
+        if (surviving_successor(i) != home) {
           node.forward(inbound);
+        } else {
+          node.retire(inbound);  // full revolution completed: ack the origin
+          if (!inbound.replay) note_retired(origin, seq);
         }
       }
     } else {
@@ -312,8 +791,8 @@ class Runner {
         ring::InboundChunk inbound = co_await node.next_chunk();
         const ChunkView view = decode_chunk(inbound.payload);
         co_await join_chunk(i, view);
-        if (cluster_.fabric().successor(i) == view.origin_host) {
-          record_revolution(view.origin_host);
+        if ((i + 1) % n_ == view.origin_host) {
+          record_revolution(view.origin_host, engine.now());
           node.retire(inbound);  // full revolution completed
         } else {
           node.forward(inbound);
@@ -321,41 +800,16 @@ class Runner {
       }
     }
 
-    const SimTime join_end = engine_.now();
-    if (obs::Tracer* t = engine_.tracer()) t->end(join_end, i, "phase");
-    host.stats.join_phase = join_end - host.join_started_at;
+    const SimTime join_end = engine.now();
+    if (obs::Tracer* t = engine.tracer()) t->end(join_end, i, "phase");
+    host.stats.join_phase = join_end - join_start;
     host.stats.sync = node.sync_time();
     host.stats.cpu_load_join =
-        cores.utilization(host.busy_at_join_start, host.stats.join_phase);
+        cores.utilization(busy_at_join_start, host.stats.join_phase);
 
-    co_await join_barrier_.arrive_and_wait();
+    co_await backend_->arrive_and_wait(Rendezvous::kJoinDone, i);
     co_await node.drain();
 
-    if (plan_.resilient) {
-      // A crashed host contributes nothing. Without recovery the surviving
-      // hosts count only the surviving origins' buckets (dead R fragments
-      // are retracted); under exact recovery every origin's bucket counts
-      // and the adopter adds the partition it recomputed for the dead host.
-      if (crashed_.count(i) == 0) {
-        for (const auto& query : host.plan->queries) {
-          for (int o = 0; o < n_; ++o) {
-            if (crashed_.count(o) != 0 && !recovering_) continue;
-            const auto& partial = query.per_origin[static_cast<std::size_t>(o)];
-            host.stats.matches += partial.matches();
-            host.stats.checksum += partial.checksum();
-          }
-        }
-        for (const auto& adopted : host.adopted) {
-          host.stats.matches += adopted.result.matches();
-          host.stats.checksum += adopted.result.checksum();
-        }
-      }
-    } else {
-      for (const auto& query : host.plan->queries) {
-        host.stats.matches += query.result.matches();
-        host.stats.checksum += query.result.checksum();
-      }
-    }
     host.stats.bytes_sent = node.bytes_sent();
     host.stats.busy_by_tag = cores.busy_by_tag();
     host.stats.chunks_reinjected = node.chunks_reinjected();
@@ -364,201 +818,341 @@ class Runner {
     host.stats.stale_query_discards = node.stale_query_discards();
     host.stats.duplicates_skipped = node.duplicates_skipped();
     host.stats.send_failures = node.send_failures();
+    host.done_at = engine.now();
   }
 
   sim::Task<void> injector(int i) {
-    HostRun& host = *hosts_[static_cast<std::size_t>(i)];
-    ring::RoundaboutNode& node = cluster_.node(i);
+    HostRun& host = this->host(i);
+    ring::RoundaboutNode& node = this->node(i);
     for (std::size_t c = 0; c < host.plan->slab.num_chunks(); ++c) {
       if (plan_.resilient && node.stopped()) break;  // this host died
       co_await node.send_local(host.plan->slab.chunk(c));
-      // send_local resumes us synchronously once the chunk is queued, so
-      // this timestamp is the chunk's true injection time. The retire side
-      // pops the front entry: the ring preserves per-origin order.
+      // send_local resumes us once the chunk is queued, so this timestamp
+      // is the chunk's injection time. The retire side pops the front
+      // entry: the ring preserves per-origin order.
       if (!plan_.resilient) {
-        inject_times_[static_cast<std::size_t>(i)].push_back(engine_.now());
+        std::lock_guard<std::mutex> lk(mu_);
+        inject_times_[static_cast<std::size_t>(i)].push_back(engine(i).now());
       }
     }
-    // Recovery replay waits for this: once set, seq numbers handed out by
-    // send_local(replay=true) cannot collide with the slab numbering.
-    if (plan_.resilient) injector_done_[static_cast<std::size_t>(i)]->set();
+    if (plan_.resilient) {
+      host.injector_done->set();
+      refresh_host(i);
+    }
   }
 
   /// A chunk from `origin` just completed its revolution at pred(origin):
   /// sample the revolution makespan (non-resilient runs only — re-injection
-  /// makes the pairing ambiguous under faults).
-  void record_revolution(int origin) {
+  /// makes the pairing ambiguous under faults). Exact on the sim; coarse on
+  /// rt, where retire order across threads is not exactly injection order.
+  void record_revolution(int origin, SimTime now) {
+    std::lock_guard<std::mutex> lk(mu_);
     auto& pending = inject_times_[static_cast<std::size_t>(origin)];
     if (pending.empty()) return;
-    metrics_.record("revolution_ns", engine_.now() - pending.front());
+    metrics_.record("revolution_ns", now - pending.front());
     pending.pop_front();
   }
 
   // Wraps a measured closure so that kernel regions inside it attribute
-  // their counter deltas to host i. When profiling is off the wrapper costs
-  // one null test; the counter reads it enables when ON run inside the
-  // measured region and perturb the virtual timings (ProfileConfig docs).
-  template <typename Fn>
-  auto profiled(int i, Fn fn, const char* phase = "core") {
+  // their counter deltas to host i. The context is installed on whichever
+  // thread runs the kernel; the profiler accumulates under its own lock.
+  // When profiling is off the wrapper costs one null test; the counter
+  // reads it enables when ON run inside the measured region and perturb
+  // the timings (ProfileConfig docs).
+  std::function<void()> profiled(int i, std::function<void()> fn,
+                                 const char* phase = "core") {
     return [this, i, phase, fn = std::move(fn)] {
       obs::prof::ScopedContext ctx(profiler_.get(), i, phase);
       fn();
     };
   }
 
-  // Streams the profile's changed counter tracks into the trace at the
-  // current virtual time. Must be called from simulation code, never from
-  // inside a measured closure (the flush itself is not kernel work).
-  void flush_profile() {
+  // Streams the profile's changed counter tracks into the trace. Must be
+  // called from engine code, never from inside a measured closure (the
+  // flush itself is not kernel work).
+  void flush_profile(sim::Engine& engine) {
     if (profiler_ != nullptr && tracer_ != nullptr) {
-      profiler_->flush_to_tracer(*tracer_, engine_.now());
+      profiler_->flush_to_tracer(*tracer_, engine.now());
     }
   }
 
-  // Prepares every query's stationary state plus the rotating slab on host
-  // i's cores. One setup task per stationary fragment, one for the
-  // rotating side — all compete for the host's cores like the paper's
-  // parallel hash-build/sort setup.
-  sim::Task<void> run_setup(int i) {
-    HostRun& host = *hosts_[static_cast<std::size_t>(i)];
-    sim::CorePool& cores = cluster_.cores(i);
-    // Resilient frames travel in-buffer ahead of the payload; chunks must
-    // leave them headroom or a full chunk would overflow the ring buffer.
-    // With replication on, chunks additionally ride inside replica records,
-    // so they leave room for the record header too.
-    const ChunkWriter writer(
-        cluster_cfg_.node.buffer_bytes -
-        (plan_.resilient ? ring::kFrameBytes : 0) -
-        (plan_.replicate ? sizeof(detail::ReplicaHeader) : 0));
+  // ----- join work -------------------------------------------------------
 
+  // Joins one chunk against every query's stationary state on host i.
+  // `origin`/`seq` identify the chunk for the flight recorder's probe
+  // record (-1 = no wire identity, fault-free runs).
+  sim::Task<void> join_chunk(int i, ChunkView view, int origin = -1,
+                             std::uint32_t seq = 0) {
+    HostRun& host = this->host(i);
+    ++host.stats.chunks_processed;
+    ChunkJoinWork work;
+    for (auto& query : host.plan->queries) {
+      // Resilient mode tallies per origin so a crash can retract R_dead.
+      join::JoinResult* sink =
+          plan_.resilient
+              ? &query.per_origin[static_cast<std::size_t>(view.origin_host)]
+              : &query.result;
+      build_query_chunk_work(spec_, plan_.radix_bits, query, sink, view, work);
+    }
+    co_await run_probe(i, work, /*adopted=*/false, origin, seq,
+                       view.tuples.size() * host.plan->queries.size());
+  }
+
+  // Joins one chunk against the adopter's promoted replica partition
+  // (recovery only). The sinks are the adopted QueryStates' own results so
+  // recovered matches stay separately attributable.
+  sim::Task<void> join_adopted_chunk(int i, ChunkView view, int origin,
+                                     std::uint32_t seq) {
+    HostRun& host = this->host(i);
+    ChunkJoinWork work;
+    for (auto& query : host.adopted) {
+      build_query_chunk_work(spec_, plan_.radix_bits, query, &query.result,
+                             view, work);
+    }
+    co_await run_probe(i, work, /*adopted=*/true, origin, seq,
+                       view.tuples.size() * host.adopted.size());
+  }
+
+  // Runs one chunk's join items on host i's cores, at most join_threads at
+  // a time, then merges them and records the probe hop. Busy time bills to
+  // the owning query's tag so the serving layer can attribute core time per
+  // query (untagged queries share "join"); adopted joins bill to "adopt".
+  sim::Task<void> run_probe(int i, ChunkJoinWork& work, bool adopted,
+                            int origin, std::uint32_t seq,
+                            std::uint64_t tuples) {
+    HostRun& host = this->host(i);
+    probe_tuples_ += tuples;
+    const SimTime probe_start = engine(i).now();
     std::vector<sim::Task<void>> tasks;
-    for (auto& fn :
-         detail::setup_closures(spec_, plan_.radix_bits, writer, host.plan)) {
-      tasks.push_back(cores.run(profiled(i, std::move(fn)), "setup"));
+    for (std::size_t k = 0; k < work.items.size(); ++k) {
+      const std::string& tag = adopted                 ? kAdoptTag
+                               : work.tags[k]->empty() ? kJoinTag
+                                                       : *work.tags[k];
+      tasks.push_back(guarded(
+          *host.join_slots,
+          cores(i).run(profiled(i, std::move(work.items[k]),
+                                adopted ? "adopt" : "core"),
+                       tag)));
     }
-    co_await sim::when_all(engine_, std::move(tasks));
-    detail::patch_origin(host.plan->slab, i);
+    co_await sim::when_all(engine(i), std::move(tasks));
+    // The backend may ask for a slower probe (rt's per_host_cpu_scale). The
+    // spin is a plain core task — it occupies a core and bills to join busy
+    // time like genuinely slower compute — and stays outside profiled() so
+    // kernel profiles are unperturbed.
+    const SimDuration extra =
+        backend_->probe_stretch(i, engine(i).now() - probe_start);
+    if (extra > 0) {
+      co_await cores(i).run(
+          [extra] {
+            const auto until = std::chrono::steady_clock::now() +
+                               std::chrono::nanoseconds(extra);
+            while (std::chrono::steady_clock::now() < until) {
+            }
+          },
+          kJoinTag);
+    }
+    flush_profile(engine(i));
+    work.merge_into_sinks();
+    flight_probe(i, origin, seq, probe_start);
   }
 
-  // With retire acks every host sends and receives exactly G messages
-  // (see ring/node.h).
-  ring::NodeCounts counts_for(int) const {
-    const std::uint64_t g = plan_.global_chunks();
-    return ring::NodeCounts{g, g};
+  // One flight record from runner code (probe hops; the per-hop wire
+  // records come from ring/node.cpp). Never called inside a measured
+  // closure, so the emit cannot perturb kernel timings.
+  void flight_probe(int i, int origin, std::uint32_t seq, SimTime start) {
+    const SimTime now = engine(i).now();
+    flight_->emit(
+        i, obs::FlightRecord{
+               .ts = now,
+               .seq = seq,
+               .origin = origin < 0 ? obs::kNoOrigin
+                                    : static_cast<std::uint16_t>(origin),
+               .query = cfg_.node.resilience.query_group,
+               .host = static_cast<std::int16_t>(i),
+               .kind = obs::HopKind::kProbe,
+               .arg_us = obs::saturating_us(now - start)});
   }
 
-  // ----- resilient-mode termination detection & crash control ----------
+  // ----- resilient-mode termination detection ----------------------------
+
+  /// The host whose predecessor retires origin's chunks: the origin itself,
+  /// or — under recovery, where a dead origin's chunks stay first-class —
+  /// the adopter, which consumes their acks on the dead host's behalf. -1
+  /// for a dead origin without recovery. Recovery mode is published
+  /// together with the crash, so no chunk is quiet-retired in the window
+  /// before adoption installs.
+  int retire_home(int origin) {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (crashed_.count(origin) == 0) return origin;
+    return recovering_ ? adopter_ : -1;
+  }
 
   /// The next alive host downstream of i on the (possibly spliced) ring.
-  int surviving_successor(int i) {
-    int s = cluster_.fabric().successor(i);
-    while (crashed_.count(s) != 0) s = cluster_.fabric().successor(s);
+  /// Caller holds mu_.
+  int surviving_successor_locked(int i) const {
+    int s = (i + 1) % n_;
+    while (crashed_.count(s) != 0) s = (s + 1) % n_;
     return s;
+  }
+
+  int surviving_successor(int i) {
+    std::lock_guard<std::mutex> lk(mu_);
+    return surviving_successor_locked(i);
+  }
+
+  /// Host i's engine: recomputes i's acked-clear flag, then runs the
+  /// detector. Called at every ack of one of i's local (or adopted) chunks,
+  /// when i's injector finished, and at the end of each recovery task on i
+  /// (which may have registered no new work, so no ack would recompute the
+  /// flag). Until the injector finished the flag stays false — a transient
+  /// outstanding == 0 between two injections must not look like completion.
+  void refresh_host(int i, bool recovery_task_done = false) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (recovery_task_done) --recovery_pending_;
+      acked_clear_[static_cast<std::size_t>(i)] =
+          host(i).injector_done->is_set() &&
+          node(i).outstanding_unacked() == 0;
+    }
+    maybe_finish();
   }
 
   /// Records that origin's chunk `seq` completed its revolution (retired at
   /// pred(origin)). The per-origin sets absorb duplicate re-retirements.
   void note_retired(int origin, std::uint32_t seq) {
-    retired_board_[static_cast<std::size_t>(origin)].insert(seq);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      retired_board_[static_cast<std::size_t>(origin)].insert(seq);
+    }
     maybe_finish();
   }
 
   /// Every surviving origin's chunks all retired *and* all acked back — the
-  /// board proves the revolutions, the outstanding count proves the acks.
-  /// Under exact recovery the dead origin's board must fill too (the
-  /// adopter's re-injections retire on the dead host's behalf) and every
-  /// recovery task must have registered and finished its work.
-  bool all_work_done() {
+  /// board proves the revolutions, the flags prove the acks. Under exact
+  /// recovery the dead origin's board must fill too (the adopter's
+  /// re-injections retire on the dead host's behalf) and every recovery
+  /// task must have finished. Caller holds mu_; slab chunk counts are safe
+  /// to read (written before the setup barrier).
+  bool all_work_done_locked() {
     if (recovering_ && recovery_pending_ > 0) return false;
     for (int o = 0; o < n_; ++o) {
       const bool dead = crashed_.count(o) != 0;
       if (dead && !recovering_) continue;
-      const HostRun& host = *hosts_[static_cast<std::size_t>(o)];
       if (retired_board_[static_cast<std::size_t>(o)].size() <
-          host.plan->slab.num_chunks()) {
+          host(o).plan->slab.num_chunks()) {
         return false;
       }
-      if (!dead && cluster_.node(o).outstanding_unacked() != 0) return false;
+      if (!dead && !acked_clear_[static_cast<std::size_t>(o)]) return false;
     }
     return true;
   }
 
-  /// Termination detector: runs on every retire and every ack. Deferred
-  /// while a ring repair is splicing (stopping a node mid-splice would
-  /// strand the repair handshake).
+  /// Termination detector: runs on every retire, ack and recovery-task
+  /// completion. Deferred while a ring repair is splicing (stopping a node
+  /// mid-splice would strand the repair handshake).
   void maybe_finish() {
-    if (!plan_.resilient || finished_ || repairing_ || !all_work_done()) return;
-    finished_ = true;
-    for (int i = 0; i < n_; ++i) {
-      if (crashed_.count(i) == 0) cluster_.node(i).request_stop();
+    std::vector<int> survivors;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (!plan_.resilient || finished_ || repairing_ ||
+          !all_work_done_locked()) {
+        return;
+      }
+      finished_ = true;
+      for (int i = 0; i < n_; ++i) {
+        if (crashed_.count(i) == 0) survivors.push_back(i);
+      }
+    }
+    backend_->close_crash_gate();  // a pending watcher stands down
+    for (const int i : survivors) {
+      backend_->post(i, [this, i] { node(i).request_stop(); });
     }
   }
 
-  sim::Task<void> crash_watcher(sim::HostCrashSpec spec) {
-    co_await engine_.sleep(spec.at);
-    // A crash during setup degenerates to a shorter ring from the start;
-    // the interesting (and supported) case is a crash of a live ring.
-    co_await join_phase_started_.wait();
-    if (finished_) co_return;  // the run beat the crash to the finish line
-    repairing_ = true;
-    crashed_.insert(spec.host);
-    // Black box: snapshot the recorder's window as it stood at the crash.
-    if (!cluster_cfg_.flight.blackbox_path.empty() && !blackbox_written_) {
-      blackbox_written_ = obs::write_blackbox(
-          *flight_, cluster_cfg_.flight.blackbox_path, "crash");
+  // ----- crash control (called by the backend's watcher) -----------------
+
+  bool begin_crash(int dead) override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (finished_) return false;  // the run beat the crash to the finish
+      repairing_ = true;
+      crashed_.insert(dead);
+      if (plan_.replicate) {
+        // Published together with the crash (see retire_home).
+        CJ_CHECK_MSG(!recovering_,
+                     "replicated recovery supports a single crash");
+        recovering_ = true;
+        adopter_ = surviving_successor_locked(dead);
+        crash_at_ = engine(dead).now();
+      }
     }
-    if (plan_.replicate) {
-      // Published together with the crash: any host observing the origin
-      // as dead also sees recovery mode and the retire home, so no chunk
-      // is quiet-retired in the window before adoption installs.
-      CJ_CHECK_MSG(!recovering_, "replicated recovery supports a single crash");
-      recovering_ = true;
-      adopter_ = surviving_successor(spec.host);
-      crash_at_ = engine_.now();
+    // Black box: snapshot the recorder's window as it stood at the crash
+    // (the recorder is safe to read under concurrent emits).
+    dump_blackbox("crash");
+    return true;
+  }
+
+  void end_crash(int dead) override {
+    if (plan_.replicate) install_recovery(dead);
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      repairing_ = false;
     }
-    cluster_.node(spec.host).die();
-    cluster_.injector()->mark_crashed(spec.host);
-    co_await cluster_.splice_around(spec.host);
-    if (plan_.replicate) install_recovery(spec.host);
-    repairing_ = false;
     // Without recovery the crash may itself complete the run (the dead
     // host's unfinished work no longer counts).
     maybe_finish();
   }
 
   /// Flips the run into exact-recovery mode: the dead host's surviving
-  /// successor adopts its partition. Runs synchronously inside the crash
-  /// watcher, before `repairing_` clears, so the termination detector never
-  /// observes a half-installed recovery.
+  /// successor adopts its partition. The adopter's state is installed on
+  /// its own engine; the recovery tasks register under mu_ before
+  /// repairing_ clears, so the termination detector never observes a
+  /// half-installed recovery.
   void install_recovery(int dead) {
-    HostRun& a = *hosts_[static_cast<std::size_t>(adopter_)];
-    ring::RoundaboutNode& node = cluster_.node(adopter_);
-    node.adopt(dead);
-    a.adopted_origin = dead;
-    a.adoption_ready =
-        std::make_unique<sim::Event>(engine_, "adoption-ready");
-    a.adopted_seen.assign(static_cast<std::size_t>(n_), {});
-    // Snapshot: chunks the adopter has already seen from each surviving
-    // origin get their adopted join from a replay copy, so the entry is
-    // pre-marked — a stale original duplicate must not double-join.
-    for (int o = 0; o < n_; ++o) {
-      if (o == adopter_ || crashed_.count(o) != 0) continue;
-      a.adopted_seen[static_cast<std::size_t>(o)] = node.seen(o);
-    }
+    const int a = adopter_;  // written by begin_crash on this same thread
     // One adoption task on the adopter plus one replay task per other
-    // survivor; termination stays blocked until each registered and
-    // finished its share of the recovery work.
-    recovery_pending_ = 1;
-    engine_.spawn(adoption_task(adopter_, dead), "adopt");
-    for (int o = 0; o < n_; ++o) {
-      if (o == adopter_ || crashed_.count(o) != 0) continue;
-      ++recovery_pending_;
-      engine_.spawn(
-          replay_task(o, a.adopted_seen[static_cast<std::size_t>(o)]),
-          "replay" + std::to_string(o));
+    // survivor; termination stays blocked until each finished its share of
+    // the recovery work. The tasks register fresh outstanding work, so the
+    // hosts' acked-clear flags stay pinned false until each task's tail
+    // recomputes them on its own engine.
+    std::vector<int> replayers;
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      recovery_pending_ = 1;
+      acked_clear_[static_cast<std::size_t>(a)] = false;
+      for (int o = 0; o < n_; ++o) {
+        if (o == a || crashed_.count(o) != 0) continue;
+        ++recovery_pending_;
+        acked_clear_[static_cast<std::size_t>(o)] = false;
+        replayers.push_back(o);
+      }
+    }
+    std::vector<std::set<std::uint32_t>> replay_sets(replayers.size());
+    backend_->call(a, [&] {
+      HostRun& h = host(a);
+      node(a).adopt(dead);
+      h.adopted_origin = dead;
+      h.adoption_ready =
+          std::make_unique<sim::Event>(engine(a), "adoption-ready");
+      h.adopted_seen.assign(static_cast<std::size_t>(n_), {});
+      for (std::size_t r = 0; r < replayers.size(); ++r) {
+        // Snapshot: chunks the adopter already consumed from a replayer get
+        // their adopted join from a replay copy, so pre-mark them — a stale
+        // original duplicate must not double-join.
+        replay_sets[r] = node(a).seen(replayers[r]);
+        h.adopted_seen[static_cast<std::size_t>(replayers[r])] = replay_sets[r];
+      }
+      engine(a).spawn(adoption_task(a, dead), "adopt");
+    });
+    for (std::size_t r = 0; r < replayers.size(); ++r) {
+      backend_->post(replayers[r], [this, o = replayers[r],
+                                    seqs = std::move(replay_sets[r])] {
+        engine(o).spawn(replay_task(o, seqs), "replay" + std::to_string(o));
+      });
     }
     if (tracer_ != nullptr) {
-      tracer_->instant(crash_at_, adopter_, "fault", "adopt-install");
+      tracer_->instant(engine(a).now(), obs::kGlobalHost, "fault",
+                       "adopt-install", a);
     }
   }
 
@@ -566,33 +1160,36 @@ class Runner {
   /// join partition, re-inject the dead origin's unretired chunks from the
   /// replica log, then run the local joins the dead host can no longer do.
   sim::Task<void> adoption_task(int a, int dead) {
-    HostRun& host = *hosts_[static_cast<std::size_t>(a)];
-    detail::ReplicaStore& store = replicas_[static_cast<std::size_t>(a)];
-    sim::CorePool& cores = cluster_.cores(a);
-    ring::RoundaboutNode& node = cluster_.node(a);
+    HostRun& host = this->host(a);
+    ReplicaStore& store = replicas_[static_cast<std::size_t>(a)];
+    ring::RoundaboutNode& node = this->node(a);
+    sim::Engine& engine = this->engine(a);
     CJ_CHECK_MSG(store.origin == dead, "replica store holds the wrong host");
-    obs::Tracer* const t = engine_.tracer();
-    if (t != nullptr) t->begin(engine_.now(), a, "adopt", "promote-replica");
+    obs::Tracer* const t = engine.tracer();
+    if (t != nullptr) t->begin(engine.now(), a, "adopt", "promote-replica");
     // 1. Promote the replica stationary fragments (re-build hash tables /
-    //    re-sort on this host's cores). The join loop parks until ready.
-    host.adopted.resize(num_queries_);
-    for (std::size_t q = 0; q < num_queries_; ++q) {
-      auto& state = host.adopted[q];
+    //    re-sort on this host's cores; a query the dead host had no S rows
+    //    for yields an empty partition). The join loop parks until ready.
+    host.adopted.resize(queries_.size());
+    std::vector<sim::Task<void>> tasks;
+    for (std::size_t q = 0; q < queries_.size(); ++q) {
+      QueryState& state = host.adopted[q];
       state.band = queries_[q].band;
       state.predicate = &queries_[q].predicate;
       state.result = join::JoinResult(spec_.materialize);
+      const std::span<const rel::Tuple> tuples =
+          q < store.s_tuples.size() ? store.s_tuples[q]
+                                    : std::span<const rel::Tuple>();
+      tasks.push_back(cores(a).run(
+          profiled(a,
+                   stationary_setup(spec_, plan_.radix_bits, tuples, &state),
+                   "adopt"),
+          kAdoptTag));
     }
-    {
-      std::vector<sim::Task<void>> tasks;
-      for (auto& fn : detail::adopted_setup_closures(
-               spec_, plan_.radix_bits, store.s_tuples, &host.adopted)) {
-        tasks.push_back(cores.run(profiled(a, std::move(fn), "adopt"), "adopt"));
-      }
-      co_await sim::when_all(engine_, std::move(tasks));
-      flush_profile();
-    }
+    co_await sim::when_all(engine, std::move(tasks));
+    flush_profile(engine);
     host.adoption_ready->set();
-    if (t != nullptr) t->end(engine_.now(), a, "adopt");
+    if (t != nullptr) t->end(engine.now(), a, "adopt");
     // 2. Re-inject the dead origin's unretired chunks under their original
     //    sequence numbers. A chunk still circulating (this host saw it
     //    before the crash) is registered for ack/timeout tracking but not
@@ -605,9 +1202,12 @@ class Runner {
     const std::size_t c_dead =
         plan_.hosts[static_cast<std::size_t>(dead)].slab.num_chunks();
     for (std::uint32_t seq = 0; seq < c_dead; ++seq) {
-      if (retired_board_[static_cast<std::size_t>(dead)].count(seq) != 0) {
-        continue;  // already completed its revolution before the crash
+      bool retired;
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        retired = retired_board_[static_cast<std::size_t>(dead)].count(seq) != 0;
       }
+      if (retired) continue;  // completed its revolution before the crash
       const auto it = store.r_chunks.find(seq);
       CJ_CHECK_MSG(it != store.r_chunks.end(),
                    "replica log is missing an unretired chunk");
@@ -630,9 +1230,8 @@ class Runner {
       co_await join_adopted_chunk(a, decode_chunk(host.plan->slab.chunk(c)),
                                   a, static_cast<std::uint32_t>(c));
     }
-    adoption_done_at_ = engine_.now();
-    --recovery_pending_;
-    maybe_finish();
+    adoption_done_at_ = engine.now();
+    refresh_host(a, /*recovery_task_done=*/true);
   }
 
   /// A surviving origin's recovery work: re-send every chunk the adopter
@@ -640,157 +1239,85 @@ class Runner {
   /// join against the adopted partition is not lost. Runs after the
   /// origin's own injector so replay seqs extend the slab numbering.
   sim::Task<void> replay_task(int o, std::set<std::uint32_t> seqs) {
-    co_await injector_done_[static_cast<std::size_t>(o)]->wait();
-    HostRun& host = *hosts_[static_cast<std::size_t>(o)];
-    ring::RoundaboutNode& node = cluster_.node(o);
+    co_await host(o).injector_done->wait();
+    ring::RoundaboutNode& node = this->node(o);
     for (const std::uint32_t seq : seqs) {
       if (node.stopped()) break;
-      co_await node.send_local(host.plan->slab.chunk(seq), /*replay=*/true);
+      co_await node.send_local(host(o).plan->slab.chunk(seq), /*replay=*/true);
     }
-    --recovery_pending_;
-    maybe_finish();
+    refresh_host(o, /*recovery_task_done=*/true);
   }
 
-  // One flight record from runner code (probe hops; the per-hop wire
-  // records come from ring/node.cpp). Never called inside a measured
-  // closure, so the emit cannot perturb virtual timings.
-  void flight_probe(int i, int origin, std::uint32_t seq, SimTime start) {
-    obs::FlightRecord r;
-    r.ts = engine_.now();
-    r.seq = seq;
-    r.origin =
-        origin < 0 ? obs::kNoOrigin : static_cast<std::uint16_t>(origin);
-    r.query = cluster_cfg_.node.resilience.query_group;
-    r.host = static_cast<std::int16_t>(i);
-    r.kind = obs::HopKind::kProbe;
-    r.arg_us = duration_us(engine_.now() - start);
-    flight_->emit(i, r);
-  }
+  // ----- reporting (every engine and watcher finished: single-threaded) ---
 
-  // Joins one chunk against every query's stationary state on host i using
-  // up to spec_.join_threads virtual cores (work items over-decomposed per
-  // detail::kTasksPerThread). `origin`/`seq` identify the chunk for the
-  // flight recorder's probe record (-1 = no wire identity, fault-free runs).
-  sim::Task<void> join_chunk(int i, ChunkView view, int origin = -1,
-                             std::uint32_t seq = 0) {
-    HostRun& host = *hosts_[static_cast<std::size_t>(i)];
-    sim::CorePool& cores = cluster_.cores(i);
-    ++host.stats.chunks_processed;
-    probe_tuples_ += view.tuples.size() * host.plan->queries.size();
-    const SimTime probe_start = engine_.now();
-
-    detail::ChunkJoinWork work;
-    detail::build_chunk_work(spec_, plan_.radix_bits, plan_.resilient,
-                             *host.plan, view, work);
-    std::vector<sim::Task<void>> tasks;
-    for (std::size_t k = 0; k < work.items.size(); ++k) {
-      // Busy time bills to the owning query's tag so the serving layer can
-      // attribute core time per query; untagged queries share "join".
-      const std::string& tag =
-          work.tags[k]->empty() ? kJoinTag : *work.tags[k];
-      tasks.push_back(detail::guarded(
-          *host.join_slots,
-          cores.run(profiled(i, std::move(work.items[k])), tag)));
+  /// Calls fn on every partial result host i contributes to query q. A
+  /// crashed host contributes nothing. Without recovery the surviving hosts
+  /// count only the surviving origins' buckets (dead R fragments are
+  /// retracted); under exact recovery every origin's bucket counts and the
+  /// adopter adds the partition it recomputed for the dead host.
+  template <typename Fn>
+  void for_each_partial(int i, std::size_t q, Fn fn) {
+    HostRun& host = this->host(i);
+    QueryState& query = host.plan->queries[q];
+    if (!plan_.resilient) {
+      fn(query.result);
+      return;
     }
-    co_await sim::when_all(engine_, std::move(tasks));
-    flush_profile();
-    work.merge_into_sinks();
-    flight_probe(i, origin, seq, probe_start);
-  }
-
-  // Joins one chunk against the adopter's promoted replica partition
-  // (recovery only). Same decomposition and thread limit as join_chunk,
-  // but the sinks are the adopted QueryStates' own results so recovered
-  // matches stay separately attributable.
-  sim::Task<void> join_adopted_chunk(int i, ChunkView view, int origin = -1,
-                                     std::uint32_t seq = 0) {
-    HostRun& host = *hosts_[static_cast<std::size_t>(i)];
-    sim::CorePool& cores = cluster_.cores(i);
-    probe_tuples_ += view.tuples.size() * host.adopted.size();
-    const SimTime probe_start = engine_.now();
-
-    detail::ChunkJoinWork work;
-    for (auto& query : host.adopted) {
-      detail::build_query_chunk_work(spec_, plan_.radix_bits, query,
-                                     &query.result, view, work);
+    if (crashed_.count(i) != 0) return;
+    for (int o = 0; o < n_; ++o) {
+      if (crashed_.count(o) != 0 && !recovering_) continue;
+      fn(query.per_origin[static_cast<std::size_t>(o)]);
     }
-    std::vector<sim::Task<void>> tasks;
-    for (auto& item : work.items) {
-      tasks.push_back(detail::guarded(
-          *host.join_slots,
-          cores.run(profiled(i, std::move(item), "adopt"), "adopt")));
-    }
-    co_await sim::when_all(engine_, std::move(tasks));
-    flush_profile();
-    work.merge_into_sinks();
-    flight_probe(i, origin, seq, probe_start);
+    if (q < host.adopted.size()) fn(host.adopted[q].result);
   }
 
   SharedRunReport build_report() {
     SharedRunReport report;
-    report.queries.resize(num_queries_);
+    report.queries.resize(queries_.size());
     for (int i = 0; i < n_; ++i) {
-      HostRun& host = *hosts_[static_cast<std::size_t>(i)];
+      HostRun& host = this->host(i);
       report.setup_wall = std::max(report.setup_wall, host.stats.setup);
       report.join_wall = std::max(report.join_wall, host.stats.join_phase);
+      // The last host's finish, not the engine's final clock: nothing after
+      // it (a crash scheduled past the end, say) belongs to the run.
+      report.total_wall = std::max(report.total_wall, host.done_at);
       report.cpu_load_join += host.stats.cpu_load_join;
-      for (std::size_t q = 0; q < num_queries_; ++q) {
-        if (plan_.resilient) {
-          if (crashed_.count(i) != 0) continue;
-          for (int o = 0; o < n_; ++o) {
-            if (crashed_.count(o) != 0 && !recovering_) continue;
-            const auto& partial =
-                host.plan->queries[q].per_origin[static_cast<std::size_t>(o)];
-            report.queries[q].matches += partial.matches();
-            report.queries[q].checksum += partial.checksum();
+      // Materialized output is stitched with the same filter as the count,
+      // so the materialized multiset equals exactly what matches/checksum
+      // cover (a crashed host's slot stays empty — its partition's matches
+      // live on the adopter). Materialization implies a single query.
+      join::JoinResult output(spec_.materialize);
+      bool first = true;
+      for (std::size_t q = 0; q < queries_.size(); ++q) {
+        for_each_partial(i, q, [&](join::JoinResult& partial) {
+          host.stats.matches += partial.matches();
+          host.stats.checksum += partial.checksum();
+          report.queries[q].matches += partial.matches();
+          report.queries[q].checksum += partial.checksum();
+          if (!spec_.materialize) return;
+          if (first) {
+            output = std::move(partial);
+          } else {
+            output.merge(partial);
           }
-          if (q < host.adopted.size()) {
-            report.queries[q].matches += host.adopted[q].result.matches();
-            report.queries[q].checksum += host.adopted[q].result.checksum();
-          }
-        } else {
-          report.queries[q].matches += host.plan->queries[q].result.matches();
-          report.queries[q].checksum += host.plan->queries[q].result.checksum();
-        }
+          first = false;
+        });
       }
       report.hosts.push_back(host.stats);
-      if (spec_.materialize) {
-        if (plan_.resilient) {
-          // Resilient runs sink matches into per-origin partials (plus the
-          // adopter's promoted partition), not queries[0].result. Stitch
-          // them back into one per-host output, applying the same origin
-          // filter as the count above so the materialized multiset equals
-          // exactly what matches/checksum cover. A crashed host contributes
-          // an empty slot — its partition's matches live on the adopter.
-          join::JoinResult combined(true);
-          if (crashed_.count(i) == 0) {
-            auto& query = host.plan->queries[0];
-            for (int o = 0; o < n_; ++o) {
-              if (crashed_.count(o) != 0 && !recovering_) continue;
-              combined.merge(query.per_origin[static_cast<std::size_t>(o)]);
-            }
-            if (!host.adopted.empty()) combined.merge(host.adopted[0].result);
-          }
-          report.host_results.push_back(std::move(combined));
-        } else {
-          report.host_results.push_back(
-              std::move(host.plan->queries[0].result));
-        }
-      }
+      if (spec_.materialize) report.host_results.push_back(std::move(output));
     }
     for (const auto& query : report.queries) {
       report.matches += query.matches;
       report.checksum += query.checksum;
     }
     report.cpu_load_join /= n_;
-    report.total_wall = engine_.now();
-    report.bytes_on_wire = cluster_.fabric().total_data_bytes();
+    report.bytes_on_wire = backend_->wire_bytes();
     if (n_ > 1 && report.join_wall > 0) {
       report.link_throughput_bps =
-          static_cast<double>(cluster_.fabric().data_link(0).bytes_transferred()) /
+          static_cast<double>(backend_->first_link_bytes()) /
           to_seconds(report.join_wall);
     }
-    if (sim::FaultInjector* injector = cluster_.injector()) {
+    if (!cfg_.fault.empty()) {
       FaultReport& fault = report.fault;
       fault.recovered = recovering_;
       fault.degraded = !crashed_.empty() && !recovering_;
@@ -804,123 +1331,85 @@ class Runner {
       }
       if (plan_.replicate) {
         for (int i = 0; i < n_; ++i) {
-          fault.replica_bytes += cluster_.node(i).replica_bytes();
-          fault.replicas_resent += cluster_.node(i).replicas_resent();
+          fault.replica_bytes += node(i).replica_bytes();
+          fault.replicas_resent += node(i).replicas_resent();
         }
       }
       if (recovering_) {
         fault.adopter = adopter_;
-        fault.chunks_adopted = cluster_.node(adopter_).chunks_adopted();
+        fault.chunks_adopted = node(adopter_).chunks_adopted();
         fault.recovery_time = adoption_done_at_ - crash_at_;
       }
-      fault.messages_dropped = injector->counters().messages_dropped;
-      fault.messages_corrupted = injector->counters().messages_corrupted;
       for (const HostStats& stats : report.hosts) {
         fault.chunks_reinjected += stats.chunks_reinjected;
         fault.chunks_recovered += stats.chunks_recovered;
         fault.corrupt_discards += stats.corrupt_discards;
         fault.duplicates_skipped += stats.duplicates_skipped;
       }
-      // Fault plans require the RDMA transport, so devices exist.
-      for (int i = 0; i < n_; ++i) {
-        fault.retransmissions += cluster_.device(i).total_retransmissions();
-        fault.rnr_retries += cluster_.device(i).total_rnr_retries();
-      }
+      backend_->add_link_faults(fault, metrics_);
     }
     fill_metrics(report);  // last: it reads the wire/fault fields above
     return report;
   }
 
   void fill_metrics(SharedRunReport& report) {
-    metrics_.add_counter("bytes_on_wire",
-                         static_cast<std::int64_t>(report.bytes_on_wire));
-    metrics_.add_counter("chunks_injected",
-                         static_cast<std::int64_t>(plan_.global_chunks()));
-    metrics_.add_counter("probe_tuples",
-                         static_cast<std::int64_t>(probe_tuples_));
+    const auto count = [this](const std::string& name, std::uint64_t value) {
+      metrics_.add_counter(name, static_cast<std::int64_t>(value));
+    };
+    count("bytes_on_wire", report.bytes_on_wire);
+    count("chunks_injected", plan_.global_chunks());
+    count("probe_tuples", probe_tuples_.load());
     std::uint64_t rotated = 0;
-    std::uint64_t switches = 0;
+    std::uint64_t switches = 0;  // structurally zero on real cores
     for (int i = 0; i < n_; ++i) {
-      rotated += hosts_[static_cast<std::size_t>(i)]->stats.chunks_processed;
-      switches += cluster_.cores(i).context_switches();
-      for (const auto& [tag, busy] :
-           hosts_[static_cast<std::size_t>(i)]->stats.busy_by_tag) {
+      rotated += host(i).stats.chunks_processed;
+      switches += cores(i).context_switches();
+      for (const auto& [tag, busy] : host(i).stats.busy_by_tag) {
         metrics_.add_counter("busy." + tag, busy);
       }
     }
-    metrics_.add_counter("chunks_rotated", static_cast<std::int64_t>(rotated));
-    metrics_.add_counter("context_switches", static_cast<std::int64_t>(switches));
+    count("chunks_rotated", rotated);
+    count("context_switches", switches);
     metrics_.set_gauge("cpu_load_join", report.cpu_load_join);
     metrics_.set_gauge("link_throughput_bps", report.link_throughput_bps);
-    if (cluster_.injector() != nullptr) {
-      metrics_.add_counter(
-          "messages_dropped",
-          static_cast<std::int64_t>(report.fault.messages_dropped));
-      metrics_.add_counter(
-          "messages_corrupted",
-          static_cast<std::int64_t>(report.fault.messages_corrupted));
-      metrics_.add_counter(
-          "retransmissions",
-          static_cast<std::int64_t>(report.fault.retransmissions));
-      metrics_.add_counter("rnr_retries",
-                           static_cast<std::int64_t>(report.fault.rnr_retries));
-    }
     if (plan_.resilient) {
-      // Summed from the per-host stats, not report.fault: the counters are
-      // live even when no fault plan is configured.
-      std::int64_t reinjected = 0;
-      std::int64_t recovered = 0;
-      std::int64_t dups = 0;
-      std::int64_t corrupt = 0;
-      std::int64_t stale = 0;
+      // Resilient runs always carry a fault plan, so report.fault holds
+      // the sums (live even in crash-free runs, e.g. spurious-timeout
+      // re-injections under rt's adaptive policy's warm-up).
+      const FaultReport& fault = report.fault;
+      std::uint64_t stale = 0;
       for (const HostStats& stats : report.hosts) {
-        reinjected += static_cast<std::int64_t>(stats.chunks_reinjected);
-        recovered += static_cast<std::int64_t>(stats.chunks_recovered);
-        dups += static_cast<std::int64_t>(stats.duplicates_skipped);
-        corrupt += static_cast<std::int64_t>(stats.corrupt_discards);
-        stale += static_cast<std::int64_t>(stats.stale_query_discards);
+        stale += stats.stale_query_discards;
       }
-      metrics_.add_counter("chunks_reinjected", reinjected);
-      metrics_.add_counter("chunks_recovered", recovered);
-      metrics_.add_counter("duplicates_skipped", dups);
-      metrics_.add_counter("chunks_discarded_corrupt", corrupt);
-      metrics_.add_counter("stale_query_discards", stale);
+      count("chunks_reinjected", fault.chunks_reinjected);
+      count("chunks_recovered", fault.chunks_recovered);
+      count("duplicates_skipped", fault.duplicates_skipped);
+      count("chunks_discarded_corrupt", fault.corrupt_discards);
+      count("stale_query_discards", stale);
       if (plan_.replicate) {
-        std::int64_t replica_bytes = 0;
-        std::int64_t resent = 0;
-        std::int64_t adopted = 0;
-        for (int i = 0; i < n_; ++i) {
-          replica_bytes +=
-              static_cast<std::int64_t>(cluster_.node(i).replica_bytes());
-          resent +=
-              static_cast<std::int64_t>(cluster_.node(i).replicas_resent());
-          adopted +=
-              static_cast<std::int64_t>(cluster_.node(i).chunks_adopted());
-        }
-        metrics_.add_counter("replica_bytes", replica_bytes);
-        metrics_.add_counter("replicas_resent", resent);
-        metrics_.add_counter("chunks_adopted", adopted);
+        count("replica_bytes", fault.replica_bytes);
+        count("replicas_resent", fault.replicas_resent);
+        count("chunks_adopted", fault.chunks_adopted);
       }
-      const std::int64_t end_ts = engine_.now();
       for (int i = 0; i < n_; ++i) {
-        const ring::RoundaboutNode& node = cluster_.node(i);
+        const ring::RoundaboutNode& node = this->node(i);
         for (const SimDuration rtt : node.ack_rtts()) {
           metrics_.record("ack_rtt_ns", rtt);
         }
-        metrics_.set_gauge(
-            "host" + std::to_string(i) + ".ack_timeout_ns",
-            static_cast<double>(node.current_ack_timeout()));
+        metrics_.set_gauge("host" + std::to_string(i) + ".ack_timeout_ns",
+                           static_cast<double>(node.current_ack_timeout()));
         if (tracer_ != nullptr) {
-          // Counter tracks: one sample per host at end-of-run is enough for
-          // Perfetto to draw per-host recovery bars next to the phases.
-          tracer_->counter(end_ts, i, "chunks_recovered",
+          // Counter tracks: one sample per host at its end of run is enough
+          // for Perfetto to draw per-host recovery bars next to the phases.
+          const SimTime end = host(i).done_at;
+          tracer_->counter(end, i, "chunks_recovered",
                            static_cast<std::int64_t>(node.chunks_recovered()));
-          tracer_->counter(end_ts, i, "chunks_reinjected",
+          tracer_->counter(end, i, "chunks_reinjected",
                            static_cast<std::int64_t>(node.chunks_reinjected()));
-          tracer_->counter(end_ts, i, "duplicates_skipped",
+          tracer_->counter(end, i, "duplicates_skipped",
                            static_cast<std::int64_t>(node.duplicates_skipped()));
           tracer_->counter(
-              end_ts, i, "chunks_discarded_corrupt",
+              end, i, "chunks_discarded_corrupt",
               static_cast<std::int64_t>(node.chunks_discarded_corrupt()));
         }
       }
@@ -928,27 +1417,33 @@ class Runner {
     // ----- flight-recorder / journey plane (always on) -------------------
     std::uint64_t revolutions = 0;
     int max_hops = 0;
-    std::int64_t flight_dropped = 0;
+    std::uint64_t flight_dropped = 0;
     for (int i = 0; i < n_; ++i) {
-      const ring::RoundaboutNode& node = cluster_.node(i);
-      revolutions += node.revolutions_observed();
-      max_hops = std::max(max_hops, node.max_hops_observed());
-      flight_dropped += static_cast<std::int64_t>(flight_->dropped(i));
+      revolutions += node(i).revolutions_observed();
+      max_hops = std::max(max_hops, node(i).max_hops_observed());
+      flight_dropped += flight_->dropped(i);
     }
-    metrics_.add_counter("revolutions_observed",
-                         static_cast<std::int64_t>(revolutions));
+    count("revolutions_observed", revolutions);
     metrics_.set_gauge("max_hops", static_cast<double>(max_hops));
-    metrics_.add_counter("obs.flight_records",
-                         static_cast<std::int64_t>(flight_->total_emitted()));
-    metrics_.add_counter("obs.flight_dropped", flight_dropped);
-    // Post-run straggler replay: the same detector the rt backend runs
-    // live, fed from the recorder window, so both backends report the same
-    // obs.straggler_flags / host<i>.straggler_z columns.
-    obs::StragglerDetector detector(n_, cluster_cfg_.sampler);
-    obs::replay_stragglers(*flight_, detector, &metrics_, tracer_.get());
+    count("obs.flight_records", flight_->total_emitted());
+    count("obs.flight_dropped", flight_dropped);
+    // Straggler columns: the live detector already bumped the flag counters
+    // as flags were raised; without it the recorder window is replayed
+    // through the same detector after the run. Registering the counters at
+    // zero keeps the metric names independent of whether a flag fired.
+    count("obs.straggler_flags", 0);
+    obs::StragglerDetector replayed(n_, cfg_.sampler);
+    if (sampler_ != nullptr) {
+      count("obs.sampler_samples", sampler_->samples_taken());
+    } else {
+      obs::replay_stragglers(*flight_, replayed, &metrics_, tracer_.get());
+    }
+    const obs::StragglerDetector& detector =
+        sampler_ != nullptr ? sampler_->detector() : replayed;
     for (int i = 0; i < n_; ++i) {
-      metrics_.set_gauge("host" + std::to_string(i) + ".straggler_z",
-                         detector.last_z(i));
+      const std::string prefix = "host" + std::to_string(i);
+      count(prefix + ".straggler_flags", 0);
+      metrics_.set_gauge(prefix + ".straggler_z", detector.last_z(i));
     }
     maybe_dump_retry_storm();
     report.flight = flight_;
@@ -964,76 +1459,79 @@ class Runner {
   }
 
   void maybe_dump_retry_storm() {
-    const obs::FlightConfig& fcfg = cluster_cfg_.flight;
-    if (fcfg.retry_storm_threshold == 0 || fcfg.blackbox_path.empty() ||
-        blackbox_written_) {
-      return;
-    }
+    if (cfg_.flight.retry_storm_threshold == 0) return;
     std::uint64_t reinjected = 0;
-    for (int i = 0; i < n_; ++i) {
-      reinjected += cluster_.node(i).chunks_reinjected();
-    }
-    if (reinjected >= fcfg.retry_storm_threshold) {
-      blackbox_written_ =
-          obs::write_blackbox(*flight_, fcfg.blackbox_path, "retry-storm");
+    for (int i = 0; i < n_; ++i) reinjected += node(i).chunks_reinjected();
+    if (reinjected >= cfg_.flight.retry_storm_threshold) {
+      dump_blackbox("retry-storm");
     }
   }
 
-  ClusterConfig cluster_cfg_;
+  /// Serializes the flight recorder's window to the configured black-box
+  /// path. The first trigger wins (a crash watcher races the end-of-run
+  /// retry-storm check); a later one must not overwrite it.
+  void dump_blackbox(const char* reason) {
+    if (!cfg_.flight.blackbox_path.empty() &&
+        !blackbox_written_.exchange(true)) {
+      obs::write_blackbox(*flight_, cfg_.flight.blackbox_path, reason);
+    }
+  }
+
+  ClusterConfig cfg_;
   JoinSpec spec_;
-  sim::Engine engine_;
-  Cluster cluster_;
   int n_;
   std::vector<SharedQuery> queries_;
-  std::size_t num_queries_;
-  detail::RunPlan plan_;
-  Barrier setup_barrier_;
-  Barrier start_barrier_;
-  Barrier replicate_barrier_;
-  Barrier join_barrier_;
+  /// Time zero on rt: real time spent distributing the inputs is part of
+  /// the run's wall clock there (the sim does not model the distribute
+  /// step, so its virtual clock starts at the hosts' setup).
+  sim::Engine::WallClock::time_point created_;
+  RunPlan plan_;
+  std::unique_ptr<detail::RunBackend> backend_;
   std::vector<std::unique_ptr<HostRun>> hosts_;
 
-  // ----- resilient-mode state ------------------------------------------
-  bool finished_ = false;   // termination detector fired
-  bool repairing_ = false;  // a ring splice is in flight
-  sim::Event join_phase_started_{engine_, "join-phase-started"};
-  std::set<int> crashed_;
-  /// Per origin: sequence numbers of its chunks that completed a revolution.
-  std::vector<std::set<std::uint32_t>> retired_board_;
-
   // ----- replication / exact-recovery state (resilience.replicate) -----
-  /// Per host: the successor-held copy of its predecessor's state.
-  std::vector<detail::ReplicaStore> replicas_;
+  /// Per host: the successor-held copy of its predecessor's state. Written
+  /// by host i's receiver (on i's engine), read by i's adoption task.
+  std::vector<ReplicaStore> replicas_;
   /// Per host: the serialized records it streams during the replication
   /// phase (must outlive replicas_drained — sends are by reference).
   std::vector<std::vector<std::vector<std::byte>>> replica_records_;
-  /// Per host: set when its injector finished first sends. Replay waits on
-  /// this so replay seqs never collide with the origin's own numbering.
-  std::vector<std::unique_ptr<sim::Event>> injector_done_;
+  SimTime crash_at_ = 0;          ///< crash watcher; read after the run
+  SimTime adoption_done_at_ = 0;  ///< adopter's engine; read after the run
+
+  // ----- shared runner state, guarded by mu_ ---------------------------
+  std::mutex mu_;
+  bool finished_ = false;    ///< termination detector fired
+  bool repairing_ = false;   ///< a ring splice is in flight
   bool recovering_ = false;  ///< a crash is being exactly recovered
   int adopter_ = -1;
-  /// Recovery tasks (adoption + per-survivor replays) still registering
-  /// work; termination is held off until all of them finished.
+  /// Recovery tasks (adoption + per-survivor replays) still running;
+  /// termination is held off until all of them finished.
   int recovery_pending_ = 0;
-  SimTime crash_at_ = 0;
-  SimTime adoption_done_at_ = 0;
-
-  // ----- observability --------------------------------------------------
-  /// Always installed on the engine (ring/node.cpp emits per-hop records).
-  std::shared_ptr<obs::FlightRecorder> flight_;
-  /// First black-box trigger wins; a later one must not overwrite it.
-  bool blackbox_written_ = false;
-  /// Installed on the engine when cluster_cfg_.trace.enabled.
-  std::shared_ptr<obs::Tracer> tracer_;
-  /// Non-null when cluster_cfg_.profile.enabled. Shared by all hosts (the
-  /// simulator runs every measured closure on one OS thread); attribution
-  /// comes from the ScopedContext each closure installs.
-  std::unique_ptr<obs::prof::KernelProfiler> profiler_;
-  obs::MetricsRegistry metrics_;
-  std::uint64_t probe_tuples_ = 0;
+  std::set<int> crashed_;
+  /// Per origin: sequence numbers of its chunks that completed a revolution.
+  std::vector<std::set<std::uint32_t>> retired_board_;
+  /// Per host: injector finished, and (strictly after that) all of the
+  /// host's local chunks acked. Written only from that host's engine.
+  std::vector<bool> acked_clear_;
   /// Per origin host: injection times of its not-yet-retired chunks
   /// (revolution-makespan histogram; non-resilient runs only).
   std::vector<std::deque<SimTime>> inject_times_;
+
+  // ----- observability --------------------------------------------------
+  /// Always installed on every engine (ring/node.cpp emits per hop).
+  std::shared_ptr<obs::FlightRecorder> flight_;
+  /// Live telemetry thread (backend_->live_sampling()); stopped before the
+  /// report is built.
+  std::unique_ptr<obs::LiveSampler> sampler_;
+  std::atomic<bool> blackbox_written_{false};  ///< see dump_blackbox
+  /// Non-null when cfg_.trace.enabled.
+  std::shared_ptr<obs::Tracer> tracer_;
+  /// Non-null when cfg_.profile.enabled; attribution comes from the
+  /// ScopedContext each measured closure installs.
+  std::unique_ptr<obs::prof::KernelProfiler> profiler_;
+  obs::MetricsRegistry metrics_;
+  std::atomic<std::uint64_t> probe_tuples_{0};
 };
 
 }  // namespace
@@ -1046,20 +1544,12 @@ RunReport CycloJoin::run(const rel::Relation& r, const rel::Relation& s) {
   query.stationary = &s;
   query.band = spec_.band;
   query.predicate = spec_.predicate;
-  if (cluster_.backend == Backend::kRt) {
-    return run_rt(cluster_, spec_, r, {query});
-  }
-  Runner runner(cluster_, spec_, r, {query});
-  return runner.execute();
+  return Runner(cluster_, spec_, r, {query}).execute();
 }
 
 SharedRunReport CycloJoin::run_shared(const rel::Relation& rotating,
                                       const std::vector<SharedQuery>& queries) {
-  if (cluster_.backend == Backend::kRt) {
-    return run_rt(cluster_, spec_, rotating, queries);
-  }
-  Runner runner(cluster_, spec_, rotating, queries);
-  return runner.execute();
+  return Runner(cluster_, spec_, rotating, queries).execute();
 }
 
 RunReport CycloJoin::run_fragments(FragmentInputs inputs) {
@@ -1067,11 +1557,7 @@ RunReport CycloJoin::run_fragments(FragmentInputs inputs) {
   query.band = spec_.band;
   query.predicate = spec_.predicate;
   const rel::Relation no_rotating;  // ignored: plan_run moves the fragments
-  if (cluster_.backend == Backend::kRt) {
-    return run_rt(cluster_, spec_, no_rotating, {query}, &inputs);
-  }
-  Runner runner(cluster_, spec_, no_rotating, {query}, &inputs);
-  return runner.execute();
+  return Runner(cluster_, spec_, no_rotating, {query}, &inputs).execute();
 }
 
 std::vector<OutputFragment> RunReport::output_fragments() const {

@@ -10,7 +10,7 @@
 // three packed words), so a reader that races a wrap simply skips the slot.
 //
 // Unlike the Tracer (opt-in, unbounded, mutex-guarded), the flight recorder
-// is installed unconditionally by both runners; its recent window is the
+// is installed unconditionally by the runner; its recent window is the
 // black box that gets serialized (CJT1-compatible, see blackbox_dump) on a
 // crash, a retry storm, or an SLO breach.
 #pragma once
@@ -52,6 +52,15 @@ std::string_view hop_kind_name(HopKind kind);
 // mode sends raw chunk bytes): the emit cost is still paid, but journeys
 // are only reconstructible in resilient mode.
 inline constexpr std::uint16_t kNoOrigin = 0xFFFF;
+
+/// Nanoseconds -> saturated microseconds, the unit of FlightRecord::arg_us
+/// durations.
+inline std::uint32_t saturating_us(SimDuration ns) {
+  const SimDuration us = ns / kMicrosecond;
+  if (us < 0) return 0;
+  if (us > static_cast<SimDuration>(0xFFFFFFFFu)) return 0xFFFFFFFFu;
+  return static_cast<std::uint32_t>(us);
+}
 
 struct FlightRecord {
   SimTime ts = 0;                   // engine time, ns

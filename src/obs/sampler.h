@@ -36,7 +36,7 @@ class Tracer;
 class LiveSampler;
 
 struct SamplerConfig {
-  bool enabled = true;  // rt runner starts a LiveSampler when true
+  bool enabled = true;  // the runner starts a LiveSampler on rt when true
   std::chrono::milliseconds interval{25};
   std::size_t max_points = 4096;  // time-series ring bound
   // Straggler detection.

@@ -8,14 +8,6 @@ namespace cj::ring {
 
 namespace {
 constexpr std::size_t kCreditBytes = 8;  // tiny control message
-
-/// Nanoseconds -> saturated microseconds for flight-record args.
-std::uint32_t to_us(SimDuration ns) {
-  const SimDuration us = ns / kMicrosecond;
-  if (us < 0) return 0;
-  if (us > static_cast<SimDuration>(0xFFFFFFFFu)) return 0xFFFFFFFFu;
-  return static_cast<std::uint32_t>(us);
-}
 }
 
 RoundaboutNode::RoundaboutNode(sim::Engine& engine, sim::CorePool& cores,
@@ -164,7 +156,7 @@ void RoundaboutNode::forward(InboundChunk chunk) {
     const std::uint8_t hops = stamp_hop(message);
     max_hops_observed_ = std::max(max_hops_observed_, static_cast<int>(hops));
     flight_emit(obs::HopKind::kForward, chunk.origin, chunk.seq, hops,
-                to_us(engine_.now() - chunk.recv_ts));
+                obs::saturating_us(engine_.now() - chunk.recv_ts));
     push_outbound(SendRequest{std::span<const std::byte>(
                                   message.data(), message.size()),
                               chunk.buffer_idx},
@@ -172,7 +164,7 @@ void RoundaboutNode::forward(InboundChunk chunk) {
     return;
   }
   flight_emit(obs::HopKind::kForward, chunk.origin, chunk.seq, 0,
-              to_us(engine_.now() - chunk.recv_ts));
+              obs::saturating_us(engine_.now() - chunk.recv_ts));
   push_outbound(SendRequest{chunk.payload, chunk.buffer_idx}, /*priority=*/true);
 }
 
@@ -181,7 +173,7 @@ void RoundaboutNode::retire(InboundChunk chunk, bool send_ack) {
   trace_instant("retire", chunk.buffer_idx);
   flight_emit(obs::HopKind::kRetire, chunk.origin, chunk.seq,
               static_cast<std::uint8_t>(std::min(chunk.hops, 255)),
-              to_us(engine_.now() - chunk.recv_ts));
+              obs::saturating_us(engine_.now() - chunk.recv_ts));
   if (resilient()) {
     // A chunk injected at `origin` arrives here (pred(origin)) with hop
     // counter num_hosts - 2 after one full revolution: +1 for the final
@@ -590,7 +582,7 @@ void RoundaboutNode::handle_ack(const FrameHeader& header) {
     if (it == adopted_outstanding_.end()) return;  // stale or duplicate ack
     ++recovered_;
     flight_emit(obs::HopKind::kAck, origin, header.seq, 0,
-                to_us(engine_.now() - it->second.first_sent));
+                obs::saturating_us(engine_.now() - it->second.first_sent));
     adopted_outstanding_.erase(it);
     injection_window_->release();
     if (config_.resilience.on_ack) config_.resilience.on_ack();
@@ -603,7 +595,7 @@ void RoundaboutNode::handle_ack(const FrameHeader& header) {
   auto it = outstanding_.find(header.seq);
   if (it == outstanding_.end()) return;  // duplicate ack: already retired
   flight_emit(obs::HopKind::kAck, origin, header.seq, 0,
-              to_us(engine_.now() - it->second.first_sent));
+              obs::saturating_us(engine_.now() - it->second.first_sent));
   if (it->second.reinjects > 0) {
     ++recovered_;
   } else {

@@ -14,7 +14,7 @@ namespace {
 constexpr std::uint32_t kRedistMagic = 0x52DAB142;  // "ring data b142"
 
 /// Record envelope, modeled on the replication phase's replica records
-/// (cyclo/runner_common.h): a fixed header in front of a dense tuple
+/// (cyclo/cyclo_join.cpp): a fixed header in front of a dense tuple
 /// payload, sealed with the same FNV-1a 64 the resilient frames use.
 struct RedistHeader {
   std::uint32_t magic = kRedistMagic;

@@ -386,8 +386,9 @@ TEST(PlanExec, RtBackendMatchesSimOnTheChain) {
 TEST(PlanExec, MidPlanCrashRecoveryComposesWithMultiRound) {
   // Four relations, three rounds; the crash lands in round 1 — a MIDDLE,
   // materializing round whose distributed output must survive the crash
-  // via PR 6's ring-neighbor replication and feed round 2 exactly like a
-  // clean round's would.
+  // via ring-neighbor replication and feed round 2 exactly like a clean
+  // round's would. Both backends: a recovered round's materialized output
+  // is stitched from the per-origin partials plus the adopter's partition.
   rel::Relation a = rel::generate(
       {.rows = 5'000, .key_domain = 2'500, .seed = 41}, "a", 1);
   rel::Relation b = rel::generate(
@@ -412,30 +413,33 @@ TEST(PlanExec, MidPlanCrashRecoveryComposesWithMultiRound) {
   const Reference ref = reference_plan(plan, graph, bases);
   ASSERT_GT(ref.matches, 0u);
 
-  std::vector<rel::PartitionedRelation> inputs;
-  for (const rel::Relation* base : bases) {
-    inputs.push_back(rel::PartitionedRelation::split(*base, hosts));
-  }
-  ExecConfig cfg;
-  cfg.cluster = small_cluster(hosts);
-  cfg.round_config = [&](int round, ClusterConfig* cluster) {
-    if (round != 1) return;
-    cluster->fault.crashes.push_back({.host = 2, .at = 0});
-    cluster->node.resilience.ack_timeout = 20 * kMillisecond;
-    cluster->node.resilience.replicate = true;
-  };
-  PlanExecutor exec(cfg);
-  const PlanRunReport report = exec.execute(plan, graph, std::move(inputs));
+  for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+    SCOPED_TRACE(backend == Backend::kSim ? "sim" : "rt");
+    std::vector<rel::PartitionedRelation> inputs;
+    for (const rel::Relation* base : bases) {
+      inputs.push_back(rel::PartitionedRelation::split(*base, hosts));
+    }
+    ExecConfig cfg;
+    cfg.cluster = small_cluster(hosts, backend);
+    cfg.round_config = [&](int round, ClusterConfig* cluster) {
+      if (round != 1) return;
+      cluster->fault.crashes.push_back({.host = 2, .at = 0});
+      cluster->node.resilience.ack_timeout = 20 * kMillisecond;
+      cluster->node.resilience.replicate = true;
+    };
+    PlanExecutor exec(cfg);
+    const PlanRunReport report = exec.execute(plan, graph, std::move(inputs));
 
-  ASSERT_EQ(report.rounds.size(), 3u);
-  EXPECT_FALSE(report.rounds[0].recovered);  // rounds 0 and 2 ran fault-free
-  EXPECT_TRUE(report.rounds[1].recovered);
-  EXPECT_FALSE(report.rounds[1].degraded);
-  EXPECT_FALSE(report.rounds[2].recovered);
-  EXPECT_EQ(report.matches, ref.matches);
-  EXPECT_EQ(report.checksum, ref.checksum);
-  EXPECT_EQ(report.output.rows(), ref.matches);
-  expect_fragment_locality(report);
+    ASSERT_EQ(report.rounds.size(), 3u);
+    EXPECT_FALSE(report.rounds[0].recovered);  // rounds 0 and 2: fault-free
+    EXPECT_TRUE(report.rounds[1].recovered);
+    EXPECT_FALSE(report.rounds[1].degraded);
+    EXPECT_FALSE(report.rounds[2].recovered);
+    EXPECT_EQ(report.matches, ref.matches);
+    EXPECT_EQ(report.checksum, ref.checksum);
+    EXPECT_EQ(report.output.rows(), ref.matches);
+    expect_fragment_locality(report);
+  }
 }
 
 TEST(PlanExec, CountOnlyFinalRoundSkipsMaterialization) {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "cyclo/cyclo_join.h"
@@ -276,23 +278,79 @@ TEST(RtFault, AdaptiveTimeoutGaugesAndRttsSurface) {
   }
 }
 
-// A crash scheduled after the run completes must leave the rt result
-// undegraded and identical to the crash-free sim answer (the watcher
-// stands down when the detector finishes first).
+// A crash scheduled after the run completes must leave the result
+// undegraded and identical to the crash-free answer on both backends (the
+// watcher stands down when the detector finishes first), and the pending
+// crash must not hold the run open: total_wall ends with the last host.
 TEST(RtFault, CrashAfterCompletionIsHarmless) {
   auto r = rel::generate({.rows = 8'000, .key_domain = 2'000, .seed = 51}, "R", 1);
   auto s = rel::generate({.rows = 8'000, .key_domain = 2'000, .seed = 52}, "S", 2);
   const JoinSpec spec{.algorithm = Algorithm::kHashJoin};
+  const SimTime late = 3600 * kSecond;
 
-  const RunReport sim = run_on(Backend::kSim, 3, spec, r, s);
+  const RunReport clean = run_on(Backend::kSim, 3, spec, r, s);
 
-  ClusterConfig rt_cfg = parity_cluster(Backend::kRt, 3);
-  rt_cfg.fault.crashes.push_back({.host = 1, .at = 3600LL * 1'000'000'000LL});
-  const RunReport rt = CycloJoin(rt_cfg, spec).run(r, s);
+  for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+    ClusterConfig cfg = parity_cluster(backend, 3);
+    cfg.fault.crashes.push_back({.host = 1, .at = late});
+    const RunReport report = CycloJoin(cfg, spec).run(r, s);
 
-  EXPECT_FALSE(rt.fault.degraded);
-  EXPECT_EQ(rt.matches, sim.matches);
-  EXPECT_EQ(rt.checksum, sim.checksum);
+    const char* which = backend == Backend::kSim ? "sim" : "rt";
+    EXPECT_FALSE(report.fault.degraded) << which;
+    EXPECT_TRUE(report.fault.crashed_hosts.empty()) << which;
+    EXPECT_EQ(report.matches, clean.matches) << which;
+    EXPECT_EQ(report.checksum, clean.checksum) << which;
+    EXPECT_LT(report.total_wall, late) << which;
+    EXPECT_GE(report.total_wall, report.setup_wall + report.join_wall) << which;
+  }
+}
+
+/// Every metric name in a snapshot, tagged with its kind.
+std::set<std::string> metric_names(const obs::MetricsSnapshot& metrics) {
+  std::set<std::string> names;
+  for (const auto& [name, value] : metrics.counters) names.insert("counter " + name);
+  for (const auto& [name, value] : metrics.gauges) names.insert("gauge " + name);
+  for (const auto& [name, value] : metrics.histograms) {
+    names.insert("histogram " + name);
+  }
+  return names;
+}
+
+// Both backends report through one fill_metrics, so a fault-free join and a
+// recovered crash emit the same counter, gauge and histogram names on each.
+// The only differences are backend-specific by construction.
+TEST(RtObs, BackendsEmitTheSameMetricNames) {
+  auto r = rel::generate({.rows = 16'000, .key_domain = 4'000, .seed = 71}, "R", 1);
+  auto s = rel::generate({.rows = 16'000, .key_domain = 4'000, .seed = 72}, "S", 2);
+  const JoinSpec spec{.algorithm = Algorithm::kHashJoin};
+  // Sim only: the simulated transport's injected link-fault counters, and
+  // the core time the simulated RNIC bills for memory registration and
+  // work-request posts. Rt only: the live sampler.
+  const std::set<std::string> backend_only = {
+      "counter messages_dropped", "counter messages_corrupted",
+      "counter retransmissions",  "counter rnr_retries",
+      "counter busy.mr-reg",      "counter busy.rdma-post",
+      "counter obs.sampler_samples"};
+
+  for (const bool crash : {false, true}) {
+    std::set<std::string> names[2];
+    for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+      ClusterConfig cfg = parity_cluster(backend, 4);
+      if (crash) {
+        cfg.fault.crashes.push_back({.host = 2, .at = 0});
+        cfg.node.resilience.replicate = true;
+        cfg.node.resilience.ack_timeout = 20 * kMillisecond;
+      }
+      const RunReport report = CycloJoin(cfg, spec).run(r, s);
+      if (crash) ASSERT_TRUE(report.fault.recovered);
+      for (const std::string& name : metric_names(report.metrics)) {
+        if (!backend_only.contains(name)) {
+          names[static_cast<int>(backend)].insert(name);
+        }
+      }
+    }
+    EXPECT_EQ(names[0], names[1]) << (crash ? "crash run" : "fault-free run");
+  }
 }
 
 // Observability rides along on the rt backend: wall-clock traces and
