@@ -28,6 +28,7 @@
 #include <cstring>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -380,12 +381,6 @@ std::vector<std::vector<ProbeSlice>> split_probe_work(
   return groups;
 }
 
-/// Join work is over-decomposed (kTasksPerThread work items per join
-/// thread) so that one slow item — e.g. the item that first pulls an S
-/// partition into cache — does not idle the other join threads at the
-/// per-chunk barrier.
-constexpr int kTasksPerThread = 4;
-
 /// Builds host `origin`'s setup-phase closures: one per query's stationary
 /// fragment plus one for the rotating slab. The caller schedules each on a
 /// core (tag "setup"). `host` must stay at a stable address until every
@@ -437,6 +432,17 @@ struct ChunkJoinWork {
   /// Parallel to items: the owning query's billing tag (QueryState::tag;
   /// empty = the shared "join" tag).
   std::vector<const std::string*> tags;
+  /// When the first item started on a core. Items queue behind the
+  /// previous chunk's (look-ahead), so the chunk's probe time counts from
+  /// here, not from submission. Written from the cores (worker threads on
+  /// rt).
+  std::atomic<SimTime> first_start{std::numeric_limits<SimTime>::max()};
+
+  void note_start(SimTime now) {
+    SimTime seen = first_start.load();
+    while (now < seen && !first_start.compare_exchange_weak(seen, now)) {
+    }
+  }
 
   /// Call after every item completed (single-threaded with respect to the
   /// sinks — each host merges only into its own QueryStates).
@@ -448,12 +454,13 @@ struct ChunkJoinWork {
 };
 
 /// One chunk's join work against a single query's stationary state, written
-/// into `sink`. Shared by the regular per-host path (join_chunk) and
-/// the adopter's promoted-replica partition.
+/// into `sink`: one item per join thread, each over a contiguous range of
+/// the chunk. Shared by the regular per-host path (join_chunk) and the
+/// adopter's promoted-replica partition.
 void build_query_chunk_work(const JoinSpec& spec, int radix_bits,
                             QueryState& query, join::JoinResult* sink,
                             const ChunkView& view, ChunkJoinWork& out) {
-  const int parts = spec.join_threads * kTasksPerThread;
+  const int parts = spec.join_threads;
   QueryState* state = &query;
   // Each item joins into its own partial (a deque: addresses stay stable).
   const auto add_item = [&](auto join_into) {
@@ -509,12 +516,50 @@ void build_query_chunk_work(const JoinSpec& spec, int radix_bits,
   }
 }
 
-/// Runs one join work item under the host's join-thread limit.
-sim::Task<void> guarded(sim::Semaphore& slots, sim::Task<void> inner) {
-  co_await slots.acquire();
-  co_await std::move(inner);
-  slots.release();
+// ----- the join entity's look-ahead ------------------------------------------
+
+/// One chunk's way through the join entity: join it, wait until the chunk
+/// before it is released, then release it (forward or retire). A function
+/// coroutine, so its arguments live in its own frame.
+sim::Task<void> chunk_stage(sim::Task<void> join, std::function<void()> release,
+                            std::shared_ptr<sim::Event> before,
+                            std::shared_ptr<sim::Event> released) {
+  co_await std::move(join);
+  if (before != nullptr) co_await before->wait();
+  if (release) release();
+  released->set();
 }
+
+/// The join entity's one chunk of look-ahead, shared by every join loop.
+/// push() starts a chunk's join at once — its core tasks queue right
+/// behind the previous chunk's, so a core that finishes early picks up the
+/// next chunk's work — and returns once the previous chunk is released, so
+/// at most two chunks are in flight. Chunks are released in push order,
+/// each as soon as its own join is done and its predecessor is released; a
+/// release never waits for a later arrival (rule 3 of ring/node.h).
+class LookAhead {
+ public:
+  explicit LookAhead(sim::Engine& engine) : engine_(engine) {}
+
+  /// `release` runs on the host's engine; null for a resident chunk.
+  sim::Task<void> push(sim::Task<void> join, std::function<void()> release) {
+    auto released = std::make_shared<sim::Event>(engine_, "chunk-released");
+    std::shared_ptr<sim::Event> before = std::exchange(last_, released);
+    engine_.spawn(
+        chunk_stage(std::move(join), std::move(release), before, released),
+        "chunk");
+    if (before != nullptr) co_await before->wait();
+  }
+
+  /// Completes once every pushed chunk is released.
+  sim::Task<void> drain() {
+    if (last_ != nullptr) co_await last_->wait();
+  }
+
+ private:
+  sim::Engine& engine_;
+  std::shared_ptr<sim::Event> last_;  ///< the newest chunk's release
+};
 
 // ===== the runner ===========================================================
 
@@ -528,10 +573,9 @@ const std::string kAdoptTag = "adopt";
 struct HostRun {
   HostPlan* plan = nullptr;
 
-  // Join-phase concurrency limiter: at most `join_threads` join tasks run
-  // at once (the work is over-decomposed for load balancing, so the task
-  // count exceeds the thread count).
-  std::unique_ptr<sim::Semaphore> join_slots;
+  /// CorePool cap holding join tasks to `join_threads` cores at once (the
+  /// rest stay free for the TCP stack).
+  int join_cap = sim::CorePool::kUncapped;
 
   HostStats stats;
   SimTime done_at = 0;
@@ -589,8 +633,7 @@ class Runner final : public detail::CrashHandler {
     for (int i = 0; i < n_; ++i) {
       auto host = std::make_unique<HostRun>();
       host->plan = &plan_.hosts[static_cast<std::size_t>(i)];
-      host->join_slots =
-          std::make_unique<sim::Semaphore>(engine(i), spec_.join_threads);
+      host->join_cap = cores(i).add_cap(spec_.join_threads);
       if (plan_.resilient) {
         host->injector_done =
             std::make_unique<sim::Event>(engine(i), "injector-done");
@@ -727,13 +770,16 @@ class Runner final : public detail::CrashHandler {
       engine.spawn(injector(i), "injector" + std::to_string(i));
     }
 
-    // Local chunks first (they are resident), then arrivals in ring order.
-    // Slab order is injection order, so chunk index == wire seq.
+    // The join entity, with one chunk of look-ahead (LookAhead): local
+    // chunks first (they are resident), then arrivals in ring order. Slab
+    // order is injection order, so chunk index == wire seq.
+    LookAhead pipeline(engine);
     for (std::size_t c = 0; c < host.plan->slab.num_chunks(); ++c) {
       if (plan_.resilient && node.stopped()) break;  // this host died mid-run
-      co_await join_chunk(i, decode_chunk(host.plan->slab.chunk(c)),
-                          plan_.resilient ? i : -1,
-                          static_cast<std::uint32_t>(c));
+      co_await pipeline.push(
+          join_chunk(i, decode_chunk(host.plan->slab.chunk(c)),
+                     plan_.resilient ? i : -1, static_cast<std::uint32_t>(c)),
+          nullptr);
     }
     if (plan_.resilient) {
       // Dynamic termination: pull chunks until the retire-board detector
@@ -764,25 +810,26 @@ class Runner final : public detail::CrashHandler {
                 .second;
         // A recovery replay copy is joined only at the adopter. It retires
         // at its (live) origin's predecessor but never touches the retire
-        // board — the original already accounted there.
+        // board — the original already accounted there. Degraded mode
+        // (home < 0): a dead origin can neither take an ack nor re-inject,
+        // so the first surviving host that notices retires its chunk
+        // quietly, unjoined.
         const int home = inbound.replay ? origin : retire_home(origin);
-        if (home < 0) {
-          // Degraded mode: a dead origin can neither take an ack nor
-          // re-inject; retire its chunk quietly at the first surviving
-          // host that notices.
-          node.retire(inbound, /*send_ack=*/false);
-          continue;
-        }
-        if (!inbound.replay && !inbound.duplicate) {
-          co_await join_chunk(i, view, origin, seq);
-        }
-        if (adopted_join) co_await join_adopted_chunk(i, view, origin, seq);
-        if (surviving_successor(i) != home) {
-          node.forward(inbound);
-        } else {
-          node.retire(inbound);  // full revolution completed: ack the origin
-          if (!inbound.replay) note_retired(origin, seq);
-        }
+        co_await pipeline.push(
+            join_arrival(i, view, origin, seq,
+                         home >= 0 && !inbound.replay && !inbound.duplicate,
+                         home >= 0 && adopted_join),
+            [this, i, home, inbound] {
+              if (home < 0) {
+                this->node(i).retire(inbound, /*send_ack=*/false);
+              } else if (surviving_successor(i) != home) {
+                this->node(i).forward(inbound);
+              } else {
+                // Full revolution completed: ack the origin.
+                this->node(i).retire(inbound);
+                if (!inbound.replay) note_retired(inbound.origin, inbound.seq);
+              }
+            });
       }
     } else {
       const std::uint64_t arrivals =
@@ -790,15 +837,20 @@ class Runner final : public detail::CrashHandler {
       for (std::uint64_t k = 0; k < arrivals; ++k) {
         ring::InboundChunk inbound = co_await node.next_chunk();
         const ChunkView view = decode_chunk(inbound.payload);
-        co_await join_chunk(i, view);
-        if ((i + 1) % n_ == view.origin_host) {
-          record_revolution(view.origin_host, engine.now());
-          node.retire(inbound);  // full revolution completed
-        } else {
-          node.forward(inbound);
-        }
+        co_await pipeline.push(
+            join_chunk(i, view), [this, i, inbound, origin = view.origin_host] {
+              if ((i + 1) % n_ == origin) {
+                record_revolution(origin, this->engine(i).now());
+                this->node(i).retire(inbound);  // full revolution completed
+              } else {
+                this->node(i).forward(inbound);
+              }
+            });
       }
     }
+    // A stop chunk can overtake the chunk still joining; it is released
+    // (forwarded or retired) as it would have been before the stop.
+    co_await pipeline.drain();
 
     const SimTime join_end = engine.now();
     if (obs::Tracer* t = engine.tracer()) t->end(join_end, i, "phase");
@@ -843,8 +895,9 @@ class Runner final : public detail::CrashHandler {
 
   /// A chunk from `origin` just completed its revolution at pred(origin):
   /// sample the revolution makespan (non-resilient runs only — re-injection
-  /// makes the pairing ambiguous under faults). Exact on the sim; coarse on
-  /// rt, where retire order across threads is not exactly injection order.
+  /// makes the pairing ambiguous under faults). Exact on both backends:
+  /// every host releases its chunks in arrival order (LookAhead), so an
+  /// origin's chunks retire in injection order.
   void record_revolution(int origin, SimTime now) {
     std::lock_guard<std::mutex> lk(mu_);
     auto& pending = inject_times_[static_cast<std::size_t>(origin)];
@@ -898,6 +951,15 @@ class Runner final : public detail::CrashHandler {
                        view.tuples.size() * host.plan->queries.size());
   }
 
+  // A resilient arrival's joins: against this host's own queries unless it
+  // is a duplicate or replay copy, and against the adopted partition when
+  // this host adopted a dead origin and has not joined the chunk there yet.
+  sim::Task<void> join_arrival(int i, ChunkView view, int origin,
+                               std::uint32_t seq, bool own, bool adopted) {
+    if (own) co_await join_chunk(i, view, origin, seq);
+    if (adopted) co_await join_adopted_chunk(i, view, origin, seq);
+  }
+
   // Joins one chunk against the adopter's promoted replica partition
   // (recovery only). The sinks are the adopted QueryStates' own results so
   // recovered matches stay separately attributable.
@@ -914,33 +976,40 @@ class Runner final : public detail::CrashHandler {
   }
 
   // Runs one chunk's join items on host i's cores, at most join_threads at
-  // a time, then merges them and records the probe hop. Busy time bills to
-  // the owning query's tag so the serving layer can attribute core time per
-  // query (untagged queries share "join"); adopted joins bill to "adopt".
+  // a time (the host's join cap), then merges them and records the probe
+  // hop. Busy time bills to the owning query's tag so the serving layer can
+  // attribute core time per query (untagged queries share "join"); adopted
+  // joins bill to "adopt". While the items are in flight, the node does not
+  // count the join entity's waiting as sync.
   sim::Task<void> run_probe(int i, ChunkJoinWork& work, bool adopted,
                             int origin, std::uint32_t seq,
                             std::uint64_t tuples) {
     HostRun& host = this->host(i);
+    sim::Engine& engine = this->engine(i);
     probe_tuples_ += tuples;
-    const SimTime probe_start = engine(i).now();
+    node(i).note_join_work(+1);
     std::vector<sim::Task<void>> tasks;
     for (std::size_t k = 0; k < work.items.size(); ++k) {
       const std::string& tag = adopted                 ? kAdoptTag
                                : work.tags[k]->empty() ? kJoinTag
                                                        : *work.tags[k];
-      tasks.push_back(guarded(
-          *host.join_slots,
-          cores(i).run(profiled(i, std::move(work.items[k]),
-                                adopted ? "adopt" : "core"),
-                       tag)));
+      std::function<void()> item = [&work, &engine,
+                                    fn = std::move(work.items[k])] {
+        work.note_start(engine.now());
+        fn();
+      };
+      tasks.push_back(cores(i).run(
+          profiled(i, std::move(item), adopted ? "adopt" : "core"), tag,
+          host.join_cap));
     }
-    co_await sim::when_all(engine(i), std::move(tasks));
+    co_await sim::when_all(engine, std::move(tasks));
+    const SimTime probe_start = std::min(work.first_start.load(), engine.now());
     // The backend may ask for a slower probe (rt's per_host_cpu_scale). The
     // spin is a plain core task — it occupies a core and bills to join busy
     // time like genuinely slower compute — and stays outside profiled() so
     // kernel profiles are unperturbed.
     const SimDuration extra =
-        backend_->probe_stretch(i, engine(i).now() - probe_start);
+        backend_->probe_stretch(i, engine.now() - probe_start);
     if (extra > 0) {
       co_await cores(i).run(
           [extra] {
@@ -949,10 +1018,11 @@ class Runner final : public detail::CrashHandler {
             while (std::chrono::steady_clock::now() < until) {
             }
           },
-          kJoinTag);
+          kJoinTag, host.join_cap);
     }
-    flush_profile(engine(i));
+    flush_profile(engine);
     work.merge_into_sinks();
+    node(i).note_join_work(-1);
     flight_probe(i, origin, seq, probe_start);
   }
 

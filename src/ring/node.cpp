@@ -134,14 +134,34 @@ sim::Task<Status> RoundaboutNode::start(NodeCounts counts,
 }
 
 sim::Task<InboundChunk> RoundaboutNode::next_chunk() {
-  const SimTime wait_start = engine_.now();
-  obs::Tracer* const t = engine_.tracer();
-  if (t != nullptr) t->begin(wait_start, config_.trace_host, "join", "sync");
+  awaiting_chunk_ = true;
+  update_starved();
   auto chunk = co_await inbound_->pop();
   CJ_CHECK_MSG(chunk.has_value(), "inbound queue closed while joining");
-  if (t != nullptr) t->end(engine_.now(), config_.trace_host, "join");
-  sync_time_ += engine_.now() - wait_start;
+  awaiting_chunk_ = false;
+  update_starved();
   co_return *chunk;
+}
+
+void RoundaboutNode::note_join_work(int delta) {
+  join_work_ += delta;
+  CJ_CHECK(join_work_ >= 0);
+  update_starved();
+}
+
+void RoundaboutNode::update_starved() {
+  const bool starved = awaiting_chunk_ && join_work_ == 0;
+  if (starved == starved_) return;
+  starved_ = starved;
+  const SimTime now = engine_.now();
+  obs::Tracer* const t = engine_.tracer();
+  if (starved) {
+    starved_since_ = now;
+    if (t != nullptr) t->begin(now, config_.trace_host, "join", "sync");
+  } else {
+    sync_time_ += now - starved_since_;
+    if (t != nullptr) t->end(now, config_.trace_host, "join");
+  }
 }
 
 void RoundaboutNode::forward(InboundChunk chunk) {

@@ -7,7 +7,10 @@
 //   receiver     keeps recv buffers posted; completed buffers flow to the
 //                join entity through the inbound queue,
 //   join entity  (owned by the cyclo layer) pulls chunks via next_chunk(),
-//                joins them, then forwards or retires the buffer,
+//                joins them, then forwards or retires the buffers in
+//                arrival order; it may pull the next chunk while one still
+//                joins, but never makes a chunk's forward or retire wait
+//                for a later arrival (that would void rule 3 below),
 //   transmitter  drains the outbound queue toward the successor, gated by
 //                credits (one credit == one free buffer at the successor,
 //                which is what makes receiver-not-ready unreachable).
@@ -208,9 +211,16 @@ class RoundaboutNode {
   // ----- join-entity API ---------------------------------------------
 
   /// Next inbound data chunk from the predecessor (acks are consumed
-  /// internally). Waiting time here is the paper's "sync" time (Fig. 11):
-  /// join threads starved for data.
+  /// internally). Waiting here while no join work is in flight (see
+  /// note_join_work) is the paper's "sync" time (Fig. 11): join cores
+  /// starved for data.
   sim::Task<InboundChunk> next_chunk();
+
+  /// The join entity reports join work starting (+1) or finishing (-1) on
+  /// this host's cores. With look-ahead it waits in next_chunk() while the
+  /// previous chunk still joins; that wait is not starvation and is not
+  /// counted as sync.
+  void note_join_work(int delta);
 
   /// Forwards the chunk to the successor, then recycles its buffer
   /// (repost + credit to the predecessor). Never blocks the join entity.
@@ -327,7 +337,8 @@ class RoundaboutNode {
 
   // ----- statistics ---------------------------------------------------
 
-  /// Total virtual time the join entity spent waiting in next_chunk().
+  /// Total virtual time the join entity spent waiting in next_chunk() with
+  /// no join work in flight.
   SimDuration sync_time() const { return sync_time_; }
   std::uint64_t bytes_sent() const { return bytes_sent_; }
   std::uint64_t chunks_received() const { return chunks_received_; }
@@ -394,6 +405,10 @@ class RoundaboutNode {
   /// obs::kNoOrigin (fault-free wire: no frame identity).
   void flight_emit(obs::HopKind kind, int origin, std::uint32_t seq,
                    std::uint8_t hops, std::uint32_t arg_us);
+
+  /// Opens or closes a sync interval when starvation (waiting in
+  /// next_chunk() with no join work in flight) begins or ends.
+  void update_starved();
 
   sim::Task<void> receiver_process();
   sim::Task<void> transmitter_process();
@@ -475,6 +490,10 @@ class RoundaboutNode {
   sim::Event done_scanner_;
 
   SimDuration sync_time_ = 0;
+  bool awaiting_chunk_ = false;  ///< join entity parked in next_chunk()
+  int join_work_ = 0;            ///< join work in flight (note_join_work)
+  bool starved_ = false;
+  SimTime starved_since_ = 0;
   std::uint64_t bytes_sent_ = 0;
   std::uint64_t chunks_received_ = 0;
   std::uint64_t discarded_corrupt_ = 0;

@@ -26,26 +26,56 @@ Executor::~Executor() {
   CJ_CHECK_MSG(queue_.empty(), "executor destroyed with queued work");
 }
 
-void Executor::submit(std::function<void(int worker)> fn) {
+void Executor::submit(std::function<void(int worker)> fn, int cap) {
   {
     std::lock_guard<std::mutex> lk(mu_);
     CJ_CHECK_MSG(!stop_, "submit on a stopped executor");
-    queue_.push_back(std::move(fn));
+    CJ_CHECK(cap == sim::CorePool::kUncapped ||
+             (cap >= 0 && cap < static_cast<int>(caps_.size())));
+    queue_.push_back(Job{std::move(fn), cap});
   }
   cv_.notify_one();
 }
 
+int Executor::add_cap(int max_tasks) {
+  CJ_CHECK_MSG(max_tasks >= 1, "a cap must admit at least one task");
+  std::lock_guard<std::mutex> lk(mu_);
+  caps_.push_back(Cap{max_tasks, 0});
+  return static_cast<int>(caps_.size()) - 1;
+}
+
+std::deque<Executor::Job>::iterator Executor::next_runnable() {
+  for (auto it = queue_.begin(); it != queue_.end(); ++it) {
+    if (it->cap == sim::CorePool::kUncapped) return it;
+    const Cap& cap = caps_[static_cast<std::size_t>(it->cap)];
+    if (cap.running < cap.max_tasks) return it;
+  }
+  return queue_.end();
+}
+
 void Executor::worker_main(int id) {
+  int finished_cap = sim::CorePool::kUncapped;
   for (;;) {
-    std::function<void(int)> fn;
+    Job job;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop_ and drained
-      fn = std::move(queue_.front());
-      queue_.pop_front();
+      if (finished_cap != sim::CorePool::kUncapped) {
+        --caps_[static_cast<std::size_t>(finished_cap)].running;
+      }
+      auto next = queue_.end();
+      cv_.wait(lk, [&] {
+        next = next_runnable();
+        return stop_ || next != queue_.end();
+      });
+      if (next == queue_.end()) return;  // stop_ and drained
+      job = std::move(*next);
+      queue_.erase(next);
+      if (job.cap != sim::CorePool::kUncapped) {
+        ++caps_[static_cast<std::size_t>(job.cap)].running;
+      }
     }
-    fn(id);
+    job.fn(id);
+    finished_cap = job.cap;
   }
 }
 

@@ -8,6 +8,9 @@
 // counts context switches (a core picking up a task with a different tag
 // than it last ran); an optional per-switch cost models the cache-pollution
 // and scheduler overhead that the paper attributes to kernel TCP handling.
+//
+// A cap (add_cap) bounds how many tasks of one kind occupy cores at once;
+// the cyclo-join runner caps its join tasks at join_threads.
 #pragma once
 
 #include <coroutine>
@@ -15,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +27,7 @@
 #include "common/units.h"
 #include "obs/trace.h"
 #include "sim/engine.h"
+#include "sim/sync.h"
 #include "sim/task.h"
 
 namespace cj::sim {
@@ -35,12 +40,21 @@ namespace cj::sim {
 class CoreExecutor {
  public:
   virtual ~CoreExecutor() = default;
-  virtual void submit(std::function<void(int worker)> fn) = 0;
+  /// `cap` is an id from add_cap(), or CorePool::kUncapped.
+  virtual void submit(std::function<void(int worker)> fn, int cap) = 0;
+  /// Registers a cap of `max_tasks` concurrently running submissions and
+  /// returns its id (ids count up from 0). The executor enforces it: a job
+  /// whose cap is full waits in the queue, and the worker that finishes a
+  /// capped job picks up the next queued one itself.
+  virtual int add_cap(int max_tasks) = 0;
   virtual int workers() const = 0;
 };
 
 class CorePool {
  public:
+  /// The cap argument of tasks no cap limits.
+  static constexpr int kUncapped = -1;
+
   /// A pool of `cores` identical cores. `context_switch_cost` is billed
   /// whenever a core switches to a task with a different tag. `cpu_scale`
   /// multiplies *measured* execute() durations — it calibrates this
@@ -70,17 +84,39 @@ class CorePool {
     CJ_CHECK_MSG(executor == nullptr ||
                      engine_.clock_mode() == ClockMode::kWall,
                  "a CoreExecutor needs a wall-clock engine");
+    CJ_CHECK_MSG(caps_.empty(), "attach the executor before adding caps");
     executor_ = executor;
   }
 
+  /// Registers a cap: tasks run under its id occupy at most `max_tasks` of
+  /// the pool's cores at once and queue FIFO behind it. Returns the id for
+  /// execute()/run(). On an executor-backed pool the executor enforces the
+  /// cap, so the next queued capped task starts as soon as a worker frees
+  /// up, without a round trip through the engine thread.
+  int add_cap(int max_tasks) {
+    CJ_CHECK_MSG(max_tasks >= 1, "a cap must admit at least one task");
+    const int id = static_cast<int>(caps_.size());
+    caps_.push_back(
+        std::make_unique<Semaphore>(engine_, max_tasks, "core-cap"));
+    if (executor_ != nullptr) CJ_CHECK(executor_->add_cap(max_tasks) == id);
+    return id;
+  }
+
   /// Runs `work` for real on a core and advances virtual time by its
-  /// measured thread-CPU duration. Returns that duration.
-  Task<SimDuration> execute(std::function<void()> work, std::string tag) {
+  /// measured thread-CPU duration. Returns that duration. `cap` is an id
+  /// from add_cap() or kUncapped.
+  Task<SimDuration> execute(std::function<void()> work, std::string tag,
+                            int cap = kUncapped) {
+    CJ_CHECK(cap == kUncapped ||
+             (cap >= 0 && cap < static_cast<int>(caps_.size())));
     if (executor_ != nullptr) {
-      RealRunAwaiter real{this, std::move(work), std::move(tag)};
+      RealRunAwaiter real{this, std::move(work), std::move(tag), cap};
       co_await real;
       bill(real.tag, real.measured);
       co_return real.measured;
+    }
+    if (cap != kUncapped) {
+      co_await caps_[static_cast<std::size_t>(cap)]->acquire();
     }
     const int core = co_await acquire();
     const SimDuration cs = charge_switch(core, tag);
@@ -91,13 +127,15 @@ class CorePool {
     co_await engine_.sleep(cost + cs);
     trace_release(core);
     release(core);
+    if (cap != kUncapped) caps_[static_cast<std::size_t>(cap)]->release();
     co_return cost;
   }
 
   /// execute() variant that discards the measured duration — convenient
   /// for when_all batches.
-  Task<void> run(std::function<void()> work, std::string tag) {
-    co_await execute(std::move(work), std::move(tag));
+  Task<void> run(std::function<void()> work, std::string tag,
+                 int cap = kUncapped) {
+    co_await execute(std::move(work), std::move(tag), cap);
   }
 
   /// Occupies a core for an analytically-known duration (cost models,
@@ -170,6 +208,7 @@ class CorePool {
     CorePool* pool;
     std::function<void()> work;
     std::string tag;
+    int cap = kUncapped;
     SimDuration measured = 0;
 
     bool await_ready() { return false; }
@@ -186,7 +225,7 @@ class CorePool {
           t->end(pool->engine_.now(), pool->trace_host_, entity);
         }
         pool->engine_.post(h);
-      });
+      }, cap);
     }
     void await_resume() {}
   };
@@ -271,6 +310,9 @@ class CorePool {
   double cpu_scale_ = 1.0;
   std::deque<int> free_cores_;
   std::deque<std::pair<std::coroutine_handle<>, int*>> waiters_;
+  /// Per cap: admits at most its max_tasks tasks to the cores (sim path;
+  /// the executor enforces the caps on the real path).
+  std::vector<std::unique_ptr<Semaphore>> caps_;
   std::vector<std::string> last_tag_;
   SimDuration busy_total_ = 0;
   std::map<std::string, SimDuration> busy_by_tag_;

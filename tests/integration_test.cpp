@@ -81,9 +81,16 @@ TEST(CpuAccounting, RdmaJoinLoadTracksThreadCount) {
   auto r = rel::generate({.rows = 600'000, .key_domain = 600'000, .seed = 9}, "R", 1);
   auto s = rel::generate({.rows = 600'000, .key_domain = 600'000, .seed = 10}, "S", 2);
 
-  CycloJoin one_thread(cluster_of(4),
+  // Table I's regime: the hash join is slower than the 1.25 GB/s link, so
+  // join threads seldom wait for data and the load follows the thread
+  // count. The paper-testbed calibration (cpu_scale 1.35, bench/harness.h)
+  // keeps the run there; uncalibrated, four threads of this machine's
+  // kernels outrun the link and the load measures the wire instead.
+  ClusterConfig cfg = cluster_of(4);
+  cfg.cpu_scale = 1.35;
+  CycloJoin one_thread(cfg,
                        JoinSpec{.algorithm = Algorithm::kHashJoin, .join_threads = 1});
-  CycloJoin four_threads(cluster_of(4),
+  CycloJoin four_threads(cfg,
                          JoinSpec{.algorithm = Algorithm::kHashJoin, .join_threads = 4});
   const RunReport rep1 = one_thread.run(r, s);
   const RunReport rep4 = four_threads.run(r, s);

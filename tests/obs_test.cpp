@@ -174,7 +174,8 @@ TEST(Metrics, HistogramQuantilesNearestRankEdgeCases) {
   {
     MetricsRegistry reg;  // single sample: every quantile is that sample
     reg.record("h", -7);
-    const HistogramSummary& h = reg.snapshot().histograms.at("h");
+    const MetricsSnapshot snap = reg.snapshot();
+    const HistogramSummary& h = snap.histograms.at("h");
     EXPECT_EQ(h.count, 1u);
     EXPECT_EQ(h.min, -7);
     EXPECT_EQ(h.max, -7);
@@ -187,7 +188,8 @@ TEST(Metrics, HistogramQuantilesNearestRankEdgeCases) {
     MetricsRegistry reg;  // two samples: floor(0.5 * 2) = 1 -> upper sample
     reg.record("h", 10);
     reg.record("h", 20);
-    const HistogramSummary& h = reg.snapshot().histograms.at("h");
+    const MetricsSnapshot snap = reg.snapshot();
+    const HistogramSummary& h = snap.histograms.at("h");
     EXPECT_EQ(h.p50, 20);
     EXPECT_EQ(h.p90, 20);
     EXPECT_EQ(h.p99, 20);
@@ -196,7 +198,8 @@ TEST(Metrics, HistogramQuantilesNearestRankEdgeCases) {
   {
     MetricsRegistry reg;  // 100 distinct samples: ranks land exactly
     for (std::int64_t v = 100; v >= 1; --v) reg.record("h", v);
-    const HistogramSummary& h = reg.snapshot().histograms.at("h");
+    const MetricsSnapshot snap = reg.snapshot();
+    const HistogramSummary& h = snap.histograms.at("h");
     EXPECT_EQ(h.p50, 51);   // sorted[50]
     EXPECT_EQ(h.p90, 91);   // sorted[90]
     EXPECT_EQ(h.p99, 100);  // sorted[99]
@@ -204,7 +207,8 @@ TEST(Metrics, HistogramQuantilesNearestRankEdgeCases) {
   {
     MetricsRegistry reg;  // all-equal samples collapse every statistic
     for (int i = 0; i < 17; ++i) reg.record("h", 42);
-    const HistogramSummary& h = reg.snapshot().histograms.at("h");
+    const MetricsSnapshot snap = reg.snapshot();
+    const HistogramSummary& h = snap.histograms.at("h");
     EXPECT_EQ(h.min, 42);
     EXPECT_EQ(h.max, 42);
     EXPECT_EQ(h.p50, 42);

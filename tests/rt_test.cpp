@@ -8,12 +8,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <map>
 #include <set>
 #include <string>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cyclo/cyclo_join.h"
+#include "join/local_join.h"
+#include "obs/analysis.h"
 #include "rel/generator.h"
+#include "rt/executor.h"
 
 namespace cj::cyclo {
 namespace {
@@ -369,6 +378,140 @@ TEST(RtObs, TraceAndMetricsPopulated) {
   EXPECT_FALSE(report.trace->events().empty());
   EXPECT_GT(report.metrics.counters.at("chunks_rotated"), 0);
   EXPECT_GT(report.metrics.counters.at("bytes_on_wire"), 0);
+}
+
+// ----- the join entity's look-ahead ----------------------------------------
+
+// The look-ahead's ordering and liveness on real threads: the tightest
+// 3-host ring (two buffers per host), fault-free and with a replicated
+// crash. Exact answers prove exactly-once joins; on a fault-free ring one
+// revolution sample per chunk proves every chunk retired exactly once. A
+// forward that waited for a later arrival would park the ring until the
+// engines' idle abort.
+class RtLookAhead
+    : public ::testing::TestWithParam<std::tuple<Algorithm, bool>> {};
+
+TEST_P(RtLookAhead, TightThreeHostRingStaysExactAndLive) {
+  const auto [algorithm, crash] = GetParam();
+  auto r = rel::generate({.rows = 30'000, .key_domain = 10'000, .seed = 81}, "R", 1);
+  auto s = rel::generate({.rows = 30'000, .key_domain = 10'000, .seed = 82}, "S", 2);
+  const std::uint32_t band = algorithm == Algorithm::kSortMergeJoin ? 2 : 0;
+  const join::JoinResult oracle =
+      join::local_sort_merge_join(r.tuples(), s.tuples(), band);
+
+  ClusterConfig cfg = parity_cluster(Backend::kRt, 3);
+  cfg.node.buffer_bytes = 16 * 1024;
+  cfg.node.num_buffers = 2;  // the smallest valid ring
+  if (crash) {
+    cfg.fault.crashes.push_back({.host = 1, .at = 0});
+    cfg.node.resilience.replicate = true;
+  }
+  const RunReport report =
+      CycloJoin(cfg, JoinSpec{.algorithm = algorithm, .band = band}).run(r, s);
+
+  EXPECT_EQ(report.matches, oracle.matches());
+  EXPECT_EQ(report.checksum, oracle.checksum());
+  if (crash) {
+    EXPECT_TRUE(report.fault.recovered);
+  } else {
+    EXPECT_EQ(report.metrics.histograms.at("revolution_ns").count,
+              static_cast<std::uint64_t>(
+                  report.metrics.counters.at("chunks_injected")));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Rt, RtLookAhead,
+    ::testing::Combine(::testing::Values(Algorithm::kHashJoin,
+                                         Algorithm::kSortMergeJoin),
+                       ::testing::Bool()));
+
+// ----- the join-thread limit ----------------------------------------------
+
+/// The most join tasks that ever ran at once on one host, read from the
+/// CorePool's core spans (entity "core<k>", name = the busy tag). An end
+/// and a begin at the same timestamp do not overlap.
+int peak_join_tasks(const obs::Tracer& trace) {
+  std::map<int, std::vector<std::pair<std::int64_t, int>>> edges;
+  for (const obs::Span& span : obs::extract_spans(trace)) {
+    if (trace.name(span.name) != "join" ||
+        !trace.name(span.entity).starts_with("core")) {
+      continue;
+    }
+    edges[span.host].emplace_back(span.start, +1);
+    edges[span.host].emplace_back(span.end, -1);
+  }
+  int peak = 0;
+  for (auto& [host, host_edges] : edges) {
+    std::sort(host_edges.begin(), host_edges.end());
+    int running = 0;
+    for (const auto& [ts, delta] : host_edges) {
+      running += delta;
+      peak = std::max(peak, running);
+    }
+  }
+  return peak;
+}
+
+// join_threads < cores_per_host must leave cores free (fig12 and table1
+// give them to the TCP stack), look-ahead or not: at most join_threads
+// join tasks occupy a host's cores at once, on both backends.
+class JoinThreadLimit : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(JoinThreadLimit, NoMoreThanJoinThreadsJoinTasksRunAtOnce) {
+  const Backend backend = GetParam();
+  auto r = rel::generate({.rows = 40'000, .key_domain = 10'000, .seed = 91}, "R", 1);
+  auto s = rel::generate({.rows = 40'000, .key_domain = 10'000, .seed = 92}, "S", 2);
+  ClusterConfig cfg = parity_cluster(backend, 3);
+  cfg.cores_per_host = backend == Backend::kSim ? 4 : 2;
+  cfg.trace.enabled = true;
+  const JoinSpec spec{.algorithm = Algorithm::kHashJoin,
+                      .join_threads = backend == Backend::kSim ? 2 : 1};
+
+  const RunReport report = CycloJoin(cfg, spec).run(r, s);
+
+  ASSERT_NE(report.trace, nullptr);
+  const int peak = peak_join_tasks(*report.trace);
+  EXPECT_GT(peak, 0);
+  EXPECT_LE(peak, spec.join_threads);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, JoinThreadLimit,
+                         ::testing::Values(Backend::kSim, Backend::kRt),
+                         [](const auto& info) {
+                           return info.param == Backend::kSim
+                                      ? std::string("Sim")
+                                      : std::string("Rt");
+                         });
+
+// The executor enforces a cap itself: jobs beyond it wait in the queue
+// while uncapped jobs pass them, and no more than the cap ever run at once.
+TEST(RtExecutor, CapBoundsConcurrentJobs) {
+  constexpr int kJobs = 24;
+  rt::Executor executor(4);
+  const int cap = executor.add_cap(2);
+  std::atomic<int> running{0};
+  std::atomic<int> peak{0};
+  std::atomic<int> done{0};
+  for (int k = 0; k < kJobs; ++k) {
+    const bool capped = k % 3 != 0;
+    executor.submit(
+        [&, capped](int) {
+          if (capped) {
+            const int now = ++running;
+            int seen = peak.load();
+            while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+            }
+          }
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          if (capped) --running;
+          ++done;
+        },
+        capped ? cap : sim::CorePool::kUncapped);
+  }
+  while (done.load() < kJobs) std::this_thread::yield();
+  EXPECT_GE(peak.load(), 1);
+  EXPECT_LE(peak.load(), 2);
 }
 
 }  // namespace
