@@ -24,24 +24,28 @@ std::size_t ChunkWriter::tuples_per_chunk(std::size_t runs) const {
 
 namespace {
 
-// Low-level emit shared by the three builders. Chunks are appended to the
-// slab back-to-back (8-byte aligned).
+// Low-level emit shared by the three builders. Chunks are written in place
+// into the slab back-to-back (8-byte aligned).
 class SlabBuilder {
  public:
-  /// Pre-sizes the backing slab (an upper bound is fine) so emitting chunks
-  /// appends without geometric reallocation — this code runs inside the
-  /// measured setup closures, where every copy is billed as virtual time.
-  void reserve(std::size_t bytes, std::size_t chunks) {
-    bytes_.reserve(bytes);
-    entries_.reserve(chunks);
+  /// Sizes the backing slab (an upper bound is fine), so emitting chunks
+  /// writes straight into it: no reallocation, and no zero-fill ahead of
+  /// the copies — this code runs inside the measured setup closures, where
+  /// every byte touched is billed as virtual time.
+  SlabBuilder(std::size_t max_bytes, std::size_t max_chunks)
+      : storage_(max_bytes) {
+    entries_.reserve(max_chunks);
   }
 
   void emit(ChunkKind kind, int origin, int radix_bits,
             std::span<const PartitionRun> runs, std::span<const rel::Tuple> tuples) {
     const std::size_t payload =
         kHeaderBytes + runs.size_bytes() + tuples.size_bytes();
-    const std::size_t offset = aligned(bytes_.size());
-    bytes_.resize(offset + payload);
+    const std::size_t offset = aligned(used_);
+    CJ_CHECK(offset + payload <= storage_.bytes());
+    // Zero the alignment gap: the registered slab holds no stale bytes.
+    std::memset(storage_.data() + used_, 0, offset - used_);
+    used_ = offset + payload;
 
     ChunkHeader header{};
     header.magic = kChunkMagic;
@@ -51,7 +55,7 @@ class SlabBuilder {
     header.num_runs = static_cast<std::uint32_t>(runs.size());
     header.num_tuples = static_cast<std::uint32_t>(tuples.size());
 
-    std::byte* out = bytes_.data() + offset;
+    std::byte* out = storage_.data() + offset;
     std::memcpy(out, &header, kHeaderBytes);
     if (!runs.empty()) {
       std::memcpy(out + kHeaderBytes, runs.data(), runs.size_bytes());
@@ -65,11 +69,13 @@ class SlabBuilder {
   }
 
   ChunkSlab finish() {
-    return ChunkSlab(std::move(bytes_), std::move(entries_), total_tuples_);
+    return ChunkSlab(std::move(storage_), used_, std::move(entries_),
+                     total_tuples_);
   }
 
  private:
-  std::vector<std::byte> bytes_;
+  join::PoolBuffer storage_;
+  std::size_t used_ = 0;
   std::vector<ChunkSlab::Entry> entries_;
   std::uint64_t total_tuples_ = 0;
 };
@@ -80,48 +86,54 @@ ChunkSlab ChunkWriter::from_partitioned(const join::PartitionedData& data,
                                         int origin_host) const {
   obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
                                 data.all_tuples().size());
-  SlabBuilder builder;
-  std::vector<PartitionRun> runs;
-  std::size_t chunk_tuples = 0;
-  std::size_t chunk_begin = 0;  // index into data.all_tuples()
-
-  auto tuples = data.all_tuples();
-  // Upper bound: every chunk full, plus one run-directory entry per chunk
-  // boundary and per partition.
-  const std::size_t max_chunks =
-      tuples.size() / std::max<std::size_t>(1, tuples_per_chunk(1)) + 1;
-  builder.reserve(tuples.size_bytes() +
-                      (max_chunks + data.num_partitions()) *
-                          (kHeaderBytes + sizeof(PartitionRun) + kAlign),
-                  max_chunks);
-  auto flush = [&] {
-    if (chunk_tuples == 0) return;
-    builder.emit(ChunkKind::kPartitioned, origin_host, data.bits(), runs,
-                 tuples.subspan(chunk_begin, chunk_tuples));
-    chunk_begin += chunk_tuples;
-    chunk_tuples = 0;
-    runs.clear();
-  };
-
+  const auto tuples = data.all_tuples();
   // Greedy packing: walk partitions in order (they are contiguous in the
   // clustered layout) and split a partition into multiple runs when it does
-  // not fit the remaining space.
-  for (std::uint32_t p = 0; p < data.num_partitions(); ++p) {
-    std::size_t remaining = data.partition(p).size();
-    while (remaining > 0) {
-      // +1 run for the piece we are about to add.
-      std::size_t capacity = tuples_per_chunk(runs.size() + 1);
-      if (chunk_tuples >= capacity) {
-        flush();
-        capacity = tuples_per_chunk(1);
+  // not fit the remaining space. Calls chunk(runs, first tuple, count) per
+  // chunk. It walks runs, not tuples, so a dry pass that sizes the slab
+  // exactly is cheap.
+  const auto pack = [&](auto&& chunk) {
+    std::vector<PartitionRun> runs;
+    std::size_t chunk_tuples = 0;
+    std::size_t chunk_begin = 0;  // index into data.all_tuples()
+    const auto flush = [&] {
+      if (chunk_tuples == 0) return;
+      chunk(std::span<const PartitionRun>(runs), chunk_begin, chunk_tuples);
+      chunk_begin += chunk_tuples;
+      chunk_tuples = 0;
+      runs.clear();
+    };
+    for (std::uint32_t p = 0; p < data.num_partitions(); ++p) {
+      std::size_t remaining = data.partition(p).size();
+      while (remaining > 0) {
+        // +1 run for the piece we are about to add.
+        std::size_t capacity = tuples_per_chunk(runs.size() + 1);
+        if (chunk_tuples >= capacity) {
+          flush();
+          capacity = tuples_per_chunk(1);
+        }
+        const std::size_t take = std::min(remaining, capacity - chunk_tuples);
+        runs.push_back(PartitionRun{p, static_cast<std::uint32_t>(take)});
+        chunk_tuples += take;
+        remaining -= take;
       }
-      const std::size_t take = std::min(remaining, capacity - chunk_tuples);
-      runs.push_back(PartitionRun{p, static_cast<std::uint32_t>(take)});
-      chunk_tuples += take;
-      remaining -= take;
     }
-  }
-  flush();
+    flush();
+  };
+
+  std::size_t bytes = 0;
+  std::size_t chunks = 0;
+  pack([&](std::span<const PartitionRun> runs, std::size_t, std::size_t count) {
+    bytes = aligned(bytes) + kHeaderBytes + runs.size_bytes() +
+            count * sizeof(rel::Tuple);
+    ++chunks;
+  });
+  SlabBuilder builder(bytes, chunks);
+  pack([&](std::span<const PartitionRun> runs, std::size_t begin,
+           std::size_t count) {
+    builder.emit(ChunkKind::kPartitioned, origin_host, data.bits(), runs,
+                 tuples.subspan(begin, count));
+  });
   return builder.finish();
 }
 
@@ -129,11 +141,10 @@ ChunkSlab ChunkWriter::from_sorted(std::span<const rel::Tuple> sorted,
                                    int origin_host) const {
   obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
                                 sorted.size());
-  SlabBuilder builder;
   const std::size_t per_chunk = tuples_per_chunk(0);
   const std::size_t max_chunks = sorted.size() / per_chunk + 1;
-  builder.reserve(sorted.size_bytes() + max_chunks * (kHeaderBytes + kAlign),
-                  max_chunks);
+  SlabBuilder builder(
+      sorted.size_bytes() + max_chunks * (kHeaderBytes + kAlign), max_chunks);
   for (std::size_t begin = 0; begin < sorted.size(); begin += per_chunk) {
     const std::size_t count = std::min(per_chunk, sorted.size() - begin);
     builder.emit(ChunkKind::kSorted, origin_host, 0, {},
@@ -146,11 +157,10 @@ ChunkSlab ChunkWriter::from_raw(std::span<const rel::Tuple> tuples,
                                 int origin_host) const {
   obs::prof::ScopedProfile prof(obs::prof::current(), "chunk_memcpy",
                                 tuples.size());
-  SlabBuilder builder;
   const std::size_t per_chunk = tuples_per_chunk(0);
   const std::size_t max_chunks = tuples.size() / per_chunk + 1;
-  builder.reserve(tuples.size_bytes() + max_chunks * (kHeaderBytes + kAlign),
-                  max_chunks);
+  SlabBuilder builder(
+      tuples.size_bytes() + max_chunks * (kHeaderBytes + kAlign), max_chunks);
   for (std::size_t begin = 0; begin < tuples.size(); begin += per_chunk) {
     const std::size_t count = std::min(per_chunk, tuples.size() - begin);
     builder.emit(ChunkKind::kRaw, origin_host, 0, {}, tuples.subspan(begin, count));

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/assert.h"
+#include "join/page_pool.h"
 #include "join/radix.h"
 #include "rel/relation.h"
 
@@ -64,7 +65,8 @@ struct ChunkView {
 
 /// All chunks of one host's share of the rotating relation, laid out in one
 /// contiguous slab (registered once with the RNIC; chunks are sent straight
-/// from here).
+/// from here). The slab is page-pool storage (join/page_pool.h) sized for
+/// the worst case and written in place; its first total_bytes() are used.
 class ChunkSlab {
  public:
   struct Entry {
@@ -73,9 +75,10 @@ class ChunkSlab {
   };
 
   ChunkSlab() = default;
-  ChunkSlab(std::vector<std::byte> bytes, std::vector<Entry> entries,
-            std::uint64_t total_tuples)
-      : bytes_(std::move(bytes)),
+  ChunkSlab(join::PoolBuffer storage, std::size_t used,
+            std::vector<Entry> entries, std::uint64_t total_tuples)
+      : storage_(std::move(storage)),
+        used_(used),
         entries_(std::move(entries)),
         total_tuples_(total_tuples) {}
 
@@ -83,17 +86,18 @@ class ChunkSlab {
 
   std::span<const std::byte> chunk(std::size_t i) const {
     const Entry& e = entries_[i];
-    return std::span<const std::byte>(bytes_).subspan(e.offset, e.size);
+    return {storage_.data() + e.offset, e.size};
   }
 
-  /// The whole backing storage, for memory registration.
-  std::span<std::byte> slab() { return bytes_; }
+  /// The used storage, for memory registration.
+  std::span<std::byte> slab() { return {storage_.data(), used_}; }
 
-  std::uint64_t total_bytes() const { return bytes_.size(); }
+  std::uint64_t total_bytes() const { return used_; }
   std::uint64_t total_tuples() const { return total_tuples_; }
 
  private:
-  std::vector<std::byte> bytes_;
+  join::PoolBuffer storage_;
+  std::size_t used_ = 0;
   std::vector<Entry> entries_;
   std::uint64_t total_tuples_ = 0;
 };

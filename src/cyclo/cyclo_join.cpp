@@ -64,12 +64,17 @@ using detail::Rendezvous;
 /// its partial result. With a single query this is classic cyclo-join;
 /// with several, one rotation feeds them all (Data Cyclotron mode).
 struct QueryState {
-  rel::Relation s_frag;  // released after setup (except nested loops)
+  /// The stationary fragment S_i, read in place: host i's slice of the
+  /// caller's relation, or s_own's tuples in a run_fragments round. Valid
+  /// through setup; nested loops also joins straight against it.
+  std::span<const rel::Tuple> s_view;
+  /// run_fragments only: the fragment this run owns (freed after setup
+  /// unless nested loops still reads it).
+  rel::Relation s_own;
 
-  // Exactly one is populated, per algorithm.
+  // The prepared form, per algorithm (nested loops needs none).
   std::optional<join::HashJoinStationary> hash;
-  std::vector<rel::Tuple> s_sorted;
-  std::vector<rel::Tuple> s_raw;
+  join::PoolArray<rel::Tuple> s_sorted;
 
   std::uint32_t band = 0;
   const std::function<bool(const rel::Tuple&, const rel::Tuple&)>* predicate =
@@ -89,7 +94,10 @@ struct QueryState {
 /// One host's share of the plan: its rotating fragment, its per-query
 /// stationary fragments, and (after setup) its wire-ready chunk slab.
 struct HostPlan {
-  rel::Relation r_frag;  // released after setup
+  /// The rotating fragment R_i, read in place like QueryState::s_view;
+  /// valid through setup.
+  std::span<const rel::Tuple> r_view;
+  rel::Relation r_own;  ///< run_fragments only; freed after setup
   std::vector<QueryState> queries;
   ChunkSlab slab;  // filled by the rotating-side setup closure
 };
@@ -103,7 +111,7 @@ struct RunPlan {
   int radix_bits = 0;
   std::vector<HostPlan> hosts;
   /// Row counts per host at distribution time (degraded-loss accounting;
-  /// the fragments themselves are released after setup).
+  /// the fragments are not read after setup).
   std::vector<std::uint64_t> r_rows;
   std::vector<std::uint64_t> s_rows;
 
@@ -114,16 +122,31 @@ struct RunPlan {
   }
 };
 
+/// Host i's share of an even distribution over n hosts: rows
+/// [i*rows/n, (i+1)*rows/n), the fragments rel::split_even would copy out.
+std::span<const rel::Tuple> even_slice(std::span<const rel::Tuple> all, int i,
+                                       int n) {
+  const std::size_t rows = all.size();
+  const std::size_t begin =
+      rows * static_cast<std::size_t>(i) / static_cast<std::size_t>(n);
+  const std::size_t end =
+      rows * (static_cast<std::size_t>(i) + 1) / static_cast<std::size_t>(n);
+  return all.subspan(begin, end - begin);
+}
+
 /// Validates the (cluster, spec, queries) combination and distributes the
-/// rotating and stationary relations evenly over the hosts. `queries` must
-/// outlive the plan: QueryState keeps pointers to the predicates.
+/// rotating and stationary relations evenly over the hosts. Distribution is
+/// by view: host i reads its slice of `r` and of each query's stationary
+/// relation in place, so those relations must outlive the run (run and
+/// run_shared are synchronous). `queries` must outlive the plan: QueryState
+/// keeps pointers to the predicates.
 ///
 /// When `frags` is non-null the distribute step is skipped entirely: host
 /// i's inputs are moved out of frags->rotating[i] / frags->stationary[i]
 /// (pre-placed fragments of a multi-round plan, see CycloJoin::
-/// run_fragments), `r` is ignored, and the single query's `stationary`
-/// pointer may be null. Everything downstream — setup closures, chunking,
-/// replication, the resilient protocol — is identical.
+/// run_fragments) and owned by the plan, `r` is ignored, and the single
+/// query's `stationary` pointer may be null. Everything downstream — setup
+/// closures, chunking, replication, the resilient protocol — is identical.
 RunPlan plan_run(const ClusterConfig& cluster, const JoinSpec& spec,
                  const rel::Relation& r,
                  const std::vector<SharedQuery>& queries,
@@ -164,25 +187,31 @@ RunPlan plan_run(const ClusterConfig& cluster, const JoinSpec& spec,
     CJ_CHECK_MSG(n >= 3, "surviving a crash needs at least three hosts");
   }
 
-  auto r_frags =
-      frags != nullptr ? std::move(frags->rotating) : rel::split_even(r, n);
+  // plan.hosts is sized once: the views into r_own/s_own stay valid.
   plan.hosts.resize(static_cast<std::size_t>(n));
   plan.s_rows.assign(static_cast<std::size_t>(n), 0);
   for (int i = 0; i < n; ++i) {
     HostPlan& host = plan.hosts[static_cast<std::size_t>(i)];
-    host.r_frag = std::move(r_frags[static_cast<std::size_t>(i)]);
-    plan.r_rows.push_back(host.r_frag.rows());
+    if (frags != nullptr) {
+      host.r_own = std::move(frags->rotating[static_cast<std::size_t>(i)]);
+      host.r_view = host.r_own.tuples();
+    } else {
+      host.r_view = even_slice(r.tuples(), i, n);
+    }
+    plan.r_rows.push_back(host.r_view.size());
     host.queries.resize(queries.size());
   }
   std::size_t max_s_rows = 0;
   for (std::size_t q = 0; q < queries.size(); ++q) {
     CJ_CHECK(frags != nullptr || queries[q].stationary != nullptr);
-    auto s_frags = frags != nullptr
-                       ? std::move(frags->stationary)
-                       : rel::split_even(*queries[q].stationary, n);
     for (int i = 0; i < n; ++i) {
       QueryState& state = plan.hosts[static_cast<std::size_t>(i)].queries[q];
-      state.s_frag = std::move(s_frags[static_cast<std::size_t>(i)]);
+      if (frags != nullptr) {
+        state.s_own = std::move(frags->stationary[static_cast<std::size_t>(i)]);
+        state.s_view = state.s_own.tuples();
+      } else {
+        state.s_view = even_slice(queries[q].stationary->tuples(), i, n);
+      }
       state.band = queries[q].band;
       state.predicate = &queries[q].predicate;
       state.tag = queries[q].tag;
@@ -193,8 +222,8 @@ RunPlan plan_run(const ClusterConfig& cluster, const JoinSpec& spec,
           state.per_origin.emplace_back(spec.materialize);
         }
       }
-      plan.s_rows[static_cast<std::size_t>(i)] += state.s_frag.rows();
-      max_s_rows = std::max(max_s_rows, state.s_frag.rows());
+      plan.s_rows[static_cast<std::size_t>(i)] += state.s_view.size();
+      max_s_rows = std::max(max_s_rows, state.s_view.size());
     }
   }
   // Radix bits are a global agreement (every R chunk must be partitioned
@@ -286,7 +315,7 @@ std::vector<std::vector<std::byte>> build_replica_records(
                 body.size());
   };
   for (std::size_t q = 0; q < host.queries.size(); ++q) {
-    const auto tuples = host.queries[q].s_frag.tuples();
+    const auto tuples = host.queries[q].s_view;
     std::uint32_t piece = 0;
     for (std::size_t off = 0; off < tuples.size(); off += tuples_per_piece) {
       const std::size_t n = std::min(tuples_per_piece, tuples.size() - off);
@@ -304,25 +333,25 @@ std::vector<std::vector<std::byte>> build_replica_records(
   return records;
 }
 
-/// The closure that prepares one query's stationary state from `tuples`
-/// (hash build, sort, or plain copy, per algorithm). `tuples` must stay
-/// valid until the closure ran.
+/// The closure that prepares one query's stationary state from its
+/// s_view (hash build or sort, per algorithm; nested loops joins s_view as
+/// it is). s_view must stay valid until the closure ran.
 std::function<void()> stationary_setup(const JoinSpec& spec, int radix_bits,
-                                       std::span<const rel::Tuple> tuples,
                                        QueryState* state) {
   const join::RadixConfig radix = spec.radix;
   switch (spec.algorithm) {
     case Algorithm::kHashJoin:
-      return [state, tuples, radix_bits, radix] {
-        state->hash = join::HashJoinStationary::build(tuples, radix_bits, radix);
+      return [state, radix_bits, radix] {
+        state->hash =
+            join::HashJoinStationary::build(state->s_view, radix_bits, radix);
       };
     case Algorithm::kSortMergeJoin:
-      return [state, tuples] {
-        state->s_sorted.assign(tuples.begin(), tuples.end());
+      return [state] {
+        state->s_sorted = join::PoolArray<rel::Tuple>(state->s_view);
         join::sort_fragment(state->s_sorted);
       };
     case Algorithm::kNestedLoops:
-      return [state, tuples] { state->s_raw.assign(tuples.begin(), tuples.end()); };
+      return [] {};
   }
   return {};
 }
@@ -381,41 +410,45 @@ std::vector<std::vector<ProbeSlice>> split_probe_work(
   return groups;
 }
 
-/// Builds host `origin`'s setup-phase closures: one per query's stationary
-/// fragment plus one for the rotating slab. The caller schedules each on a
-/// core (tag "setup"). `host` must stay at a stable address until every
+/// Builds host `origin`'s setup-phase closures: one for the rotating slab,
+/// then one per query's stationary fragment. The caller schedules each on
+/// a core (tag "setup"). `host` must stay at a stable address until every
 /// closure has run.
+///
+/// The rotating side comes first so that, on a host whose setup runs one
+/// closure at a time, its scratch copy (clustered or sorted R_i) is back in
+/// the page pool before the stationary side allocates. The host's pool
+/// demand then only grows during setup and peaks when it ends, so every
+/// host's peak coincides at the setup barrier whatever the interleaving of
+/// hosts: a repeated run finds a parked block for every buffer.
 std::vector<std::function<void()>> setup_closures(
     const JoinSpec& spec, int radix_bits, ChunkWriter writer, int origin,
     HostPlan* host) {
   std::vector<std::function<void()>> out;
-  for (auto& query : host->queries) {
-    out.push_back(
-        stationary_setup(spec, radix_bits, query.s_frag.tuples(), &query));
-  }
   const join::RadixConfig radix = spec.radix;
   switch (spec.algorithm) {
     case Algorithm::kHashJoin:
       out.push_back([host, writer, origin, radix_bits, radix] {
         join::PartitionedData r_parts = join::radix_cluster(
-            host->r_frag.tuples(), radix_bits, radix.bits_per_pass,
-            radix.kernel);
+            host->r_view, radix_bits, radix.bits_per_pass, radix.kernel);
         host->slab = writer.from_partitioned(r_parts, origin);
       });
       break;
     case Algorithm::kSortMergeJoin:
       out.push_back([host, writer, origin] {
-        std::vector<rel::Tuple> r_sorted(host->r_frag.tuples().begin(),
-                                         host->r_frag.tuples().end());
+        join::PoolArray<rel::Tuple> r_sorted(host->r_view);
         join::sort_fragment(r_sorted);
         host->slab = writer.from_sorted(r_sorted, origin);
       });
       break;
     case Algorithm::kNestedLoops:
       out.push_back([host, writer, origin] {
-        host->slab = writer.from_raw(host->r_frag.tuples(), origin);
+        host->slab = writer.from_raw(host->r_view, origin);
       });
       break;
+  }
+  for (auto& query : host->queries) {
+    out.push_back(stationary_setup(spec, radix_bits, &query));
   }
   return out;
 }
@@ -508,8 +541,7 @@ void build_query_chunk_work(const JoinSpec& spec, int radix_bits,
         add_item([state, view, range](join::JoinResult& partial) {
           join::nested_loops_join(
               view.tuples.subspan(range.first, range.second - range.first),
-              std::span<const rel::Tuple>(state->s_raw), *state->predicate,
-              partial);
+              state->s_view, *state->predicate, partial);
         });
       }
       break;
@@ -714,9 +746,11 @@ class Runner final : public detail::CrashHandler {
       replica_records_[static_cast<std::size_t>(i)] = build_replica_records(
           *host.plan, cfg_.node.buffer_bytes - ring::kFrameBytes);
     }
-    host.plan->r_frag = rel::Relation();  // originals no longer needed
+    // Setup read the inputs for the last time: free the fragments a
+    // run_fragments round owns (nested loops still joins against S).
+    host.plan->r_own = rel::Relation();
     if (spec_.algorithm != Algorithm::kNestedLoops) {
-      for (auto& query : host.plan->queries) query.s_frag = rel::Relation();
+      for (auto& query : host.plan->queries) query.s_own = rel::Relation();
     }
 
     co_await backend_->arrive_and_wait(Rendezvous::kSetupDone, i);
@@ -1247,12 +1281,9 @@ class Runner final : public detail::CrashHandler {
       state.band = queries_[q].band;
       state.predicate = &queries_[q].predicate;
       state.result = join::JoinResult(spec_.materialize);
-      const std::span<const rel::Tuple> tuples =
-          q < store.s_tuples.size() ? store.s_tuples[q]
-                                    : std::span<const rel::Tuple>();
+      if (q < store.s_tuples.size()) state.s_view = store.s_tuples[q];
       tasks.push_back(cores(a).run(
-          profiled(a,
-                   stationary_setup(spec_, plan_.radix_bits, tuples, &state),
+          profiled(a, stationary_setup(spec_, plan_.radix_bits, &state),
                    "adopt"),
           kAdoptTag));
     }
@@ -1551,9 +1582,9 @@ class Runner final : public detail::CrashHandler {
   JoinSpec spec_;
   int n_;
   std::vector<SharedQuery> queries_;
-  /// Time zero on rt: real time spent distributing the inputs is part of
-  /// the run's wall clock there (the sim does not model the distribute
-  /// step, so its virtual clock starts at the hosts' setup).
+  /// Time zero on rt: real time spent planning (distributing) the run is
+  /// part of the run's wall clock there (the sim does not model the
+  /// distribute step, so its virtual clock starts at the hosts' setup).
   sim::Engine::WallClock::time_point created_;
   RunPlan plan_;
   std::unique_ptr<detail::RunBackend> backend_;

@@ -3,10 +3,15 @@
 //
 // One call to CycloJoin::run() simulates a full distributed execution:
 //
-//   1. distribute  — R and S are split evenly over the ring's hosts,
+//   1. distribute  — R and S are split evenly over the ring's hosts. Host i
+//                    gets a view of its contiguous slice of the caller's
+//                    relations, not a copy: the inputs outlive the
+//                    (synchronous) run, and setup is the only reader,
 //   2. setup       — each host prepares its stationary fragment S_i (hash
 //                    tables / sort) and reorganizes its rotating fragment
-//                    R_i into wire-ready chunks, once (Sec. IV-D),
+//                    R_i into wire-ready chunks, once (Sec. IV-D). The large
+//                    setup buffers come from the process-wide page pool
+//                    (join/page_pool.h), so a repeated run re-faults none,
 //   3. rotate+join — R chunks make one full revolution; every host joins
 //                    every chunk against its S_i on its (virtual) cores
 //                    while the roundabout moves data underneath,
@@ -187,7 +192,8 @@ class CycloJoin {
   CycloJoin(ClusterConfig cluster, JoinSpec spec);
 
   /// Computes r ⋈ s with r rotating and s stationary. Inputs are split
-  /// evenly across hosts (the paper assumes an even distribution of S).
+  /// evenly across hosts (the paper assumes an even distribution of S);
+  /// each host reads its slice in place. r and s may be the same relation.
   RunReport run(const rel::Relation& r, const rel::Relation& s);
 
   /// Data Cyclotron mode (the paper's ongoing-work direction, Sec. VII):
@@ -201,7 +207,8 @@ class CycloJoin {
 
   /// Runs ONE round on pre-placed per-host fragments instead of splitting
   /// whole relations: the distribute step is skipped and host i's inputs
-  /// are exactly inputs.rotating[i] / inputs.stationary[i]. This is the
+  /// are exactly inputs.rotating[i] / inputs.stationary[i]. The run owns
+  /// them and frees each host's fragments once its setup is done. This is the
   /// multi-round entry point PlanExecutor (src/plan) uses so intermediates
   /// never gather at a coordinator. Band/predicate come from the JoinSpec
   /// (single-query rounds only); both backends are supported.

@@ -79,7 +79,7 @@ void PartitionHashTable::init_build(std::size_t rows, int radix_bits,
   tier_ = resolve_simd(kernel.simd);
 
   // Reset whichever layout a previous build left behind.
-  slab_ = TableSlab();
+  slab_.reset();
   groups_ = nullptr;
   num_groups_ = 0;
   tuples_.clear();
@@ -93,7 +93,7 @@ void PartitionHashTable::attach_groups(std::size_t table_bytes,
     groups_ = storage;
     return;
   }
-  slab_ = TableSlab(table_bytes);
+  slab_ = PoolBuffer(table_bytes);
   groups_ = slab_.data();
 }
 
@@ -214,7 +214,7 @@ void PartitionHashTable::build_groups(std::span<const rel::Tuple> s_partition,
   // Batched hashing: the whole slice is hashed before any bucket is
   // touched, so the hash ALU work never serializes behind bucket misses
   // and the insert loop reads hashes from a sequential array.
-  std::vector<std::uint32_t> hashes(n);
+  PoolArray<std::uint32_t> hashes(n);
   for (std::size_t i = 0; i < n; ++i) {
     hashes[i] = hash_key(s_partition[i].key);
   }
@@ -466,7 +466,7 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
   }
 
   // Carves one backing range per partition table out of a single shared
-  // slab (see table_slab.h) and returns the per-partition base pointers;
+  // slab (see join/page_pool.h) and returns the per-partition base pointers;
   // the slab itself moves into out.table_slab_. Chained tables manage
   // their own vectors — no slab.
   const auto carve_slab = [&](const PartitionedData& parts)
@@ -479,7 +479,7 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
           PartitionHashTable::table_bytes_for(parts.partition(p).size(), kernel);
       total += bytes[p];
     }
-    out.table_slab_ = TableSlab(total);
+    out.table_slab_ = PoolBuffer(total);
     std::vector<std::byte*> bases(num_parts);
     std::byte* cursor = out.table_slab_.data();
     for (std::uint32_t p = 0; p < num_parts; ++p) {
@@ -525,10 +525,10 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
   };
 
   std::vector<std::uint32_t> boundaries(static_cast<std::size_t>(fanout) + 1);
-  std::vector<rel::Tuple> clustered(n);
+  PoolArray<rel::Tuple> clustered(n);
   {
     obs::prof::ScopedProfile pass_prof(obs::prof::current(), "radix_pass1", n);
-    std::vector<std::uint32_t> hashes(n);
+    PoolArray<std::uint32_t> hashes(n);
     std::vector<std::uint32_t> counts(fanout, 0);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint32_t h = hash_key(s[i].key);

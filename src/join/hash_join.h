@@ -33,8 +33,8 @@
 #include "join/join_result.h"
 #include "join/kernel_config.h"
 #include "join/radix.h"
+#include "join/page_pool.h"
 #include "join/simd.h"
-#include "join/table_slab.h"
 #include "rel/relation.h"
 
 namespace cj::join {
@@ -256,7 +256,7 @@ class PartitionHashTable {
   // array — slab_'s storage when this table allocated for itself, or a
   // range carved from HashJoinStationary's shared slab (which then owns
   // the bytes and outlives the table).
-  TableSlab slab_;
+  PoolBuffer slab_;
   void* groups_ = nullptr;
   std::uint32_t num_groups_ = 0;
   int group_size_ = 16;
@@ -329,10 +329,11 @@ class HashJoinStationary {
   PartitionedData parts_;
   std::vector<PartitionHashTable> tables_;
   /// Shared backing store for every partition's group table: one
-  /// huge-page-advised allocation instead of num_partitions small ones, so
-  /// sub-2MB per-partition tables still share 2 MB pages (build faults and
-  /// probe TLB reach both scale with page count; see table_slab.h).
-  TableSlab table_slab_;
+  /// huge-page-advised page-pool block instead of num_partitions small
+  /// allocations, so sub-2MB per-partition tables still share 2 MB pages
+  /// (build faults and probe TLB reach both scale with page count) and a
+  /// rebuild reuses the previous build's pages (see join/page_pool.h).
+  PoolBuffer table_slab_;
 };
 
 }  // namespace cj::join

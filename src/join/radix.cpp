@@ -48,8 +48,8 @@ using detail::scatter_range;
 PartitionedData cluster_legacy(std::span<const rel::Tuple> input, int total_bits,
                                int bits_per_pass) {
   const std::size_t n = input.size();
-  std::vector<rel::Tuple> cur(input.begin(), input.end());
-  std::vector<rel::Tuple> next(n);
+  PoolArray<rel::Tuple> cur(input);
+  PoolArray<rel::Tuple> next(n);
 
   // Cluster on slices of the partition id from the most-significant slice
   // down, so the final memory order is ascending by partition id.
@@ -97,7 +97,7 @@ PartitionedData cluster_legacy(std::span<const rel::Tuple> input, int total_bits
       }
     }
 
-    cur.swap(next);
+    std::swap(cur, next);
     boundaries = std::move(new_boundaries);
     consumed += b;
   }
@@ -117,7 +117,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
                                     bool buffered) {
   const std::size_t n = input.size();
   const std::uint32_t id_mask = (1U << total_bits) - 1;
-  std::vector<rel::Tuple> out(n);
+  PoolArray<rel::Tuple> out(n);
 
   std::vector<std::uint32_t> counts;
   std::vector<std::uint32_t> cursor;
@@ -134,7 +134,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
   const bool only_pass = b1 == total_bits;
   const bool staged1 = buffered && fanout1 >= kMinBufferedFanout;
 
-  std::vector<std::uint32_t> hashes(n);
+  PoolArray<std::uint32_t> hashes(n);
   counts.assign(fanout1, 0);
   for (std::size_t i = 0; i < n; ++i) {
     const std::uint32_t h = hash_key(input[i].key);
@@ -161,16 +161,17 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
     return PartitionedData(std::move(out), std::move(boundaries), total_bits);
   }
 
-  std::vector<HashedTuple> cur(n);
+  PoolArray<HashedTuple> cur(n);
   if (staged1) stage_h.resize(static_cast<std::size_t>(fanout1) * kStageCap);
   scatter_range<HashedTuple>(0, n, staged1, fanout1, cursor, fill, stage_h,
                              cur.data(), slice1, [&](std::size_t i) {
                                return HashedTuple{input[i], hashes[i]};
                              });
-  hashes = {};  // later passes carry the hash inside the HashedTuples
+  // Later passes carry the hash inside the HashedTuples.
+  hashes = PoolArray<std::uint32_t>();
   pass_prof.reset();
   int consumed = b1;
-  std::vector<HashedTuple> next;  // allocated only if a middle pass needs it
+  PoolArray<HashedTuple> next;  // allocated only if a middle pass needs it
 
   // ---- remaining passes over the HashedTuple representation ----
   while (consumed < total_bits) {
@@ -180,7 +181,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
     const std::uint32_t slice_mask = (1U << b) - 1;
     const std::uint32_t fanout = 1U << b;
     const bool last_pass = consumed + b == total_bits;
-    if (!last_pass && next.size() != n) next.resize(n);
+    if (!last_pass && next.size() != n) next = PoolArray<HashedTuple>(n);
 
     std::vector<std::uint32_t> new_boundaries;
     new_boundaries.reserve((boundaries.size() - 1) * fanout + 1);
@@ -227,7 +228,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
       }
     }
 
-    if (!last_pass) cur.swap(next);
+    if (!last_pass) std::swap(cur, next);
     boundaries = std::move(new_boundaries);
     consumed += b;
   }
@@ -244,8 +245,8 @@ PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
   const std::size_t n = input.size();
 
   if (total_bits == 0) {
-    std::vector<rel::Tuple> tuples(input.begin(), input.end());
-    return PartitionedData(std::move(tuples), {0, static_cast<std::uint32_t>(n)}, 0);
+    return PartitionedData(PoolArray<rel::Tuple>(input),
+                           {0, static_cast<std::uint32_t>(n)}, 0);
   }
   CJ_CHECK_MSG(n <= 0xFFFFFFFFULL, "32-bit partition directory limits fragments to 4G rows");
 

@@ -13,6 +13,7 @@
 
 #include "common/assert.h"
 #include "join/kernel_config.h"
+#include "join/page_pool.h"
 #include "rel/relation.h"
 
 namespace cj::join {
@@ -54,11 +55,12 @@ inline std::uint32_t partition_of(std::uint32_t key, int bits) {
 int choose_radix_bits(std::size_t s_rows, const RadixConfig& config);
 
 /// Tuples clustered into 2^bits partitions, with a partition directory.
-/// Partition p occupies [offsets[p], offsets[p+1]).
+/// Partition p occupies [offsets[p], offsets[p+1]). The tuples live in
+/// page-pool storage (join/page_pool.h): a repeated setup reuses them.
 class PartitionedData {
  public:
   PartitionedData() = default;
-  PartitionedData(std::vector<rel::Tuple> tuples, std::vector<std::uint32_t> offsets,
+  PartitionedData(PoolArray<rel::Tuple> tuples, std::vector<std::uint32_t> offsets,
                   int bits)
       : tuples_(std::move(tuples)), offsets_(std::move(offsets)), bits_(bits) {
     CJ_CHECK(offsets_.size() == (1ULL << bits_) + 1);
@@ -79,18 +81,19 @@ class PartitionedData {
   std::span<const std::uint32_t> offsets() const { return offsets_; }
 
  private:
-  std::vector<rel::Tuple> tuples_;
+  PoolArray<rel::Tuple> tuples_;
   std::vector<std::uint32_t> offsets_;
   int bits_ = 0;
 };
 
 /// Multi-pass radix clustering of `input` into 2^total_bits partitions.
 /// Each pass has fan-out at most 2^bits_per_pass. O(passes * n) time,
-/// 2n tuples of transient memory. `kernel` selects between the legacy
-/// kernels (rehash per loop, direct scatter) and the cache-conscious ones
-/// (hash side array, software-buffered scatter) — identical output
-/// partition directory either way; tuple order *within* a partition may
-/// differ between kernel configurations, like it does between pass shapes.
+/// 2n tuples of transient memory, all of it page-pool storage. `kernel`
+/// selects between the legacy kernels (rehash per loop, direct scatter)
+/// and the cache-conscious ones (hash side array, software-buffered
+/// scatter) — identical output partition directory either way; tuple order
+/// *within* a partition may differ between kernel configurations, like it
+/// does between pass shapes.
 PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
                               int bits_per_pass, const KernelConfig& kernel = {});
 

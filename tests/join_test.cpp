@@ -1,15 +1,20 @@
 // Unit tests for the local join kernels: radix clustering, hash tables,
-// hash join, sort-merge (equi + band), nested loops, and cross-validation
-// of all algorithms against each other.
+// hash join, sort-merge (equi + band), nested loops, cross-validation of
+// all algorithms against each other, and the page pool behind their large
+// buffers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <cstring>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include "join/hash_join.h"
 #include "join/local_join.h"
 #include "join/nested_loops.h"
+#include "join/page_pool.h"
 #include "join/radix.h"
 #include "join/simd.h"
 #include "join/sort_merge.h"
@@ -689,6 +694,157 @@ TEST(NestedLoops, ArbitraryPredicate) {
     for (const auto& b : s.tuples()) expected += (a.key > b.key + 90);
   }
   EXPECT_EQ(result.matches(), expected);
+}
+
+// ------------------------------------------------------------- page pool
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+/// The pool's retained-memory bound (join/page_pool.h).
+void expect_bounded(const PagePool::Stats& st) {
+  EXPECT_LE(st.live_bytes + st.parked_bytes, st.high_water_bytes);
+}
+
+TEST(PagePool, BlockReleasedOnOneThreadIsAdoptedOnAnother) {
+  PagePool pool;
+  PagePool::Block first;
+  std::thread([&] {
+    first = pool.acquire(5 * kMiB);
+    if (first.data != nullptr) std::memset(first.data, 0x5A, 5 * kMiB);
+    pool.release(first);
+  }).join();
+  if (first.data == nullptr) GTEST_SKIP() << "no mmap-backed pool here";
+
+  PagePool::Block second;
+  std::thread([&] { second = pool.acquire(5 * kMiB); }).join();
+  EXPECT_EQ(second.data, first.data);
+  EXPECT_EQ(second.bytes, first.bytes);
+  EXPECT_EQ(second.bytes, 6 * kMiB);  // rounded up to whole huge pages
+  // The pages written on the first thread, not fresh zero pages.
+  EXPECT_EQ(second.data[5 * kMiB - 1], std::byte{0x5A});
+  const PagePool::Stats st = pool.stats();
+  EXPECT_EQ(st.fresh_bytes, first.bytes);
+  EXPECT_EQ(st.reused_bytes, first.bytes);
+  pool.release(second);
+}
+
+TEST(PagePool, ManyThreadsAcquireAndReleaseConcurrently) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 40;
+  PagePool pool;
+  std::atomic<int> clobbered{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kRounds; ++i) {
+        const std::size_t bytes = (2 + static_cast<std::size_t>(t + i) % 3) * kMiB;
+        const PagePool::Block block = pool.acquire(bytes);
+        if (block.data == nullptr) return;
+        // One byte per page, tagged by owner: a block handed to two
+        // threads at once shows up as a clobbered tag (and a TSan race).
+        const auto tag = static_cast<std::byte>(t * kRounds + i);
+        for (std::size_t off = 0; off < bytes; off += 4096) block.data[off] = tag;
+        std::this_thread::yield();
+        for (std::size_t off = 0; off < bytes; off += 4096) {
+          if (block.data[off] != tag) ++clobbered;
+        }
+        pool.release(block);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const PagePool::Stats st = pool.stats();
+  if (st.fresh_bytes == 0) GTEST_SKIP() << "no mmap-backed pool here";
+  EXPECT_EQ(clobbered.load(), 0);
+  EXPECT_EQ(st.live_bytes, 0u);
+  EXPECT_GT(st.reused_bytes, 0u);
+  expect_bounded(st);
+  // At most one 4 MiB block per thread was ever live at once.
+  EXPECT_LE(st.high_water_bytes, kThreads * 4 * kMiB);
+}
+
+TEST(PagePool, RetainedBytesStayBoundedAsBlockSizesShift) {
+  PagePool pool;
+  // Each round holds its blocks at once, then releases them. Sizes grow
+  // and shrink between rounds, so parked blocks keep failing to fit and
+  // fresh mappings keep pushing against the bound.
+  const std::vector<std::vector<std::size_t>> rounds = {
+      {2, 4, 6}, {8, 2, 2}, {10}, {2, 2, 2, 2}, {12, 4}, {3, 3, 3}, {14}, {16}};
+  std::size_t largest_round = 0;
+  for (const auto& sizes : rounds) {
+    std::vector<PagePool::Block> held;
+    std::size_t round_bytes = 0;
+    for (const std::size_t mib : sizes) {
+      held.push_back(pool.acquire(mib * kMiB));
+      if (held.back().data == nullptr) GTEST_SKIP() << "no mmap-backed pool here";
+      round_bytes += held.back().bytes;
+      expect_bounded(pool.stats());
+    }
+    largest_round = std::max(largest_round, round_bytes);
+    for (const PagePool::Block& block : held) {
+      pool.release(block);
+      expect_bounded(pool.stats());
+    }
+  }
+  const PagePool::Stats st = pool.stats();
+  EXPECT_EQ(st.live_bytes, 0u);
+  EXPECT_EQ(st.high_water_bytes, largest_round);
+  EXPECT_GT(st.parked_bytes, 0u);  // the last round's blocks stay parked
+  // The shifts forced evictions: more was mapped than is retained.
+  EXPECT_GT(st.fresh_bytes, st.parked_bytes);
+}
+
+// Reused storage is not zeroed, so every consumer must write before it
+// reads. Park blocks of every size class the joins below ask for, filled
+// with 0xAB, then run a hash join and a sort-merge setup that adopt them:
+// any stale byte read as data would show in the result.
+TEST(PagePool, JoinsOnAdoptedPoisonedBlocksMatchTheOracle) {
+  {
+    std::vector<PoolBuffer> poison;
+    for (std::size_t mib = 2; mib <= 16; mib += 2) {
+      poison.emplace_back(mib * kMiB);
+      std::memset(poison.back().data(), 0xAB, poison.back().bytes());
+    }
+  }
+  const PagePool::Stats before = PagePool::process().stats();
+  if (before.parked_bytes == 0) GTEST_SKIP() << "no mmap-backed pool here";
+
+  // |S| = 2^17 builds its 4 MiB table slab directly; |S| = 2^18 takes the
+  // staged build, whose clustered copy (3 MiB) and 8 MiB table slab come
+  // from the pool, as does the sorted copy of S.
+  auto r = gen(256, 4096, 61);
+  for (const std::uint64_t s_rows : {1U << 17, 1U << 18}) {
+    auto s = gen(s_rows, 4096, 62);
+    JoinResult oracle;
+    nested_loops_equi_join(r.tuples(), s.tuples(), oracle);
+    ASSERT_GT(oracle.matches(), 0u);
+
+    RadixConfig config;
+    const int bits = choose_radix_bits(s.rows(), config);
+    const auto stationary = HashJoinStationary::build(s.tuples(), bits, config);
+    const auto r_parts =
+        radix_cluster(r.tuples(), bits, config.bits_per_pass, config.kernel);
+    JoinResult hashed;
+    for (std::uint32_t p = 0; p < r_parts.num_partitions(); ++p) {
+      stationary.probe_partition(p, r_parts.partition(p), hashed);
+    }
+    EXPECT_EQ(hashed.matches(), oracle.matches()) << "|S| " << s_rows;
+    EXPECT_EQ(hashed.checksum(), oracle.checksum()) << "|S| " << s_rows;
+
+    // The cyclo-join's sort-merge setup: sorted pool copies of both sides.
+    PoolArray<rel::Tuple> s_sorted(s.tuples());
+    PoolArray<rel::Tuple> r_sorted(r.tuples());
+    sort_fragment(s_sorted);
+    sort_fragment(r_sorted);
+    JoinResult merged;
+    merge_join(r_sorted, s_sorted, merged);
+    EXPECT_EQ(merged.matches(), oracle.matches()) << "|S| " << s_rows;
+    EXPECT_EQ(merged.checksum(), oracle.checksum()) << "|S| " << s_rows;
+  }
+
+  const PagePool::Stats after = PagePool::process().stats();
+  EXPECT_EQ(after.fresh_bytes, before.fresh_bytes);  // all adopted
+  EXPECT_GE(after.reused_bytes - before.reused_bytes, 4 * (2 * kMiB));
 }
 
 }  // namespace

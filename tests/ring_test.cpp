@@ -287,7 +287,11 @@ std::multiset<std::pair<std::uint32_t, std::uint64_t>> multiset_of(
     const std::vector<rel::Relation>& frags) {
   std::multiset<std::pair<std::uint32_t, std::uint64_t>> out;
   for (const rel::Relation& frag : frags) {
-    for (const rel::Tuple& t : frag.tuples()) out.emplace(t.key, t.payload);
+    // Copy the fields out: rel::Tuple is packed, so a reference to its
+    // payload (emplace forwards by reference) would be misaligned.
+    for (const rel::Tuple& t : frag.tuples()) {
+      out.emplace(std::uint32_t{t.key}, std::uint64_t{t.payload});
+    }
   }
   return out;
 }

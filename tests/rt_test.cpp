@@ -20,6 +20,7 @@
 
 #include "cyclo/cyclo_join.h"
 #include "join/local_join.h"
+#include "join/page_pool.h"
 #include "obs/analysis.h"
 #include "rel/generator.h"
 #include "rt/executor.h"
@@ -62,6 +63,19 @@ TEST_P(RtParitySkew, HashEquiJoinMatchesSim) {
   EXPECT_EQ(rt.checksum, sim.checksum);
   EXPECT_EQ(rt.hosts.size(), sim.hosts.size());
   EXPECT_GT(rt.total_wall, 0);
+
+  // Aliased inputs: a self-join reads one relation as both the rotating
+  // and the stationary side (hosts hold views, not copies). Smaller, so
+  // the skewed cases' self-join output stays cheap.
+  auto t = rel::generate(
+      {.rows = 8'000, .key_domain = 6'000, .zipf_z = z, .seed = 13}, "T", 3);
+  const join::JoinResult self_oracle =
+      join::local_sort_merge_join(t.tuples(), t.tuples());
+  for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+    const RunReport self = run_on(backend, 4, spec, t, t);
+    EXPECT_EQ(self.matches, self_oracle.matches());
+    EXPECT_EQ(self.checksum, self_oracle.checksum());
+  }
 }
 
 TEST_P(RtParitySkew, SortMergeBandJoinMatchesSim) {
@@ -78,6 +92,16 @@ TEST_P(RtParitySkew, SortMergeBandJoinMatchesSim) {
   EXPECT_GT(sim.matches, 0u);
   EXPECT_EQ(rt.matches, sim.matches);
   EXPECT_EQ(rt.checksum, sim.checksum);
+
+  auto t = rel::generate(
+      {.rows = 4'000, .key_domain = 20'000, .zipf_z = z, .seed = 23}, "T", 3);
+  const join::JoinResult self_oracle =
+      join::local_sort_merge_join(t.tuples(), t.tuples(), spec.band);
+  for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+    const RunReport self = run_on(backend, 3, spec, t, t);
+    EXPECT_EQ(self.matches, self_oracle.matches());
+    EXPECT_EQ(self.checksum, self_oracle.checksum());
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Skew, RtParitySkew,
@@ -116,6 +140,28 @@ TEST(RtParity, SharedRotationMatchesSimPerQuery) {
   }
   EXPECT_EQ(rt.matches, sim.matches);
   EXPECT_EQ(rt.checksum, sim.checksum);
+
+  // Aliased inputs: two queries over one stationary relation, and that
+  // relation rotating too. Every host reads the same tuples through three
+  // views at once.
+  const std::vector<SharedQuery> aliased{SharedQuery{.stationary = &s1},
+                                         SharedQuery{.stationary = &s1}};
+  const join::JoinResult r_oracle =
+      join::local_sort_merge_join(r.tuples(), s1.tuples());
+  const join::JoinResult self_oracle =
+      join::local_sort_merge_join(s1.tuples(), s1.tuples());
+  for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+    CycloJoin cyclo(parity_cluster(backend, 4), spec);
+    for (const rel::Relation* rotating : {&r, &s1}) {
+      const join::JoinResult& oracle = rotating == &r ? r_oracle : self_oracle;
+      const SharedRunReport report = cyclo.run_shared(*rotating, aliased);
+      ASSERT_EQ(report.queries.size(), 2u);
+      for (const QueryResult& query : report.queries) {
+        EXPECT_EQ(query.matches, oracle.matches());
+        EXPECT_EQ(query.checksum, oracle.checksum());
+      }
+    }
+  }
 }
 
 TEST(RtParity, TaggedSharedRotationBillsPerQueryOnBothBackends) {
@@ -425,6 +471,92 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(Algorithm::kHashJoin,
                                          Algorithm::kSortMergeJoin),
                        ::testing::Bool()));
+
+// ----- steady state: repeated runs reuse the page pool ----------------------
+
+// The large setup buffers (clustered copies, hash tables, sorted copies,
+// chunk slabs) come from the process-wide page pool and go back to it at
+// the end of a run. Once one run warmed the pool, running the same join
+// again maps no fresh pool bytes on either backend: every buffer adopts a
+// parked block. Fragments of 2^18 rows per host put all of those buffers
+// above the pool's 2 MiB floor.
+ClusterConfig steady_cluster(Backend backend) {
+  ClusterConfig cfg;
+  cfg.backend = backend;
+  cfg.num_hosts = 2;
+  cfg.cores_per_host = 1;
+  return cfg;
+}
+
+struct PoolDelta {
+  std::uint64_t fresh = 0;
+  std::uint64_t reused = 0;
+};
+
+template <typename Fn>
+PoolDelta pool_delta(Fn&& fn) {
+  const join::PagePool::Stats before = join::PagePool::process().stats();
+  fn();
+  const join::PagePool::Stats after = join::PagePool::process().stats();
+  return {after.fresh_bytes - before.fresh_bytes,
+          after.reused_bytes - before.reused_bytes};
+}
+
+class PoolSteadyState
+    : public ::testing::TestWithParam<std::tuple<Backend, Algorithm>> {};
+
+TEST_P(PoolSteadyState, SecondRunMapsNoFreshPoolBytes) {
+  const auto [backend, algorithm] = GetParam();
+  auto r = rel::generate({.rows = 1 << 19, .key_domain = 1 << 19, .seed = 101}, "R", 1);
+  auto s = rel::generate({.rows = 1 << 19, .key_domain = 1 << 19, .seed = 102}, "S", 2);
+  CycloJoin cyclo(steady_cluster(backend), JoinSpec{.algorithm = algorithm});
+
+  RunReport first;
+  const PoolDelta warm = pool_delta([&] { first = cyclo.run(r, s); });
+  RunReport second;
+  const PoolDelta steady = pool_delta([&] { second = cyclo.run(r, s); });
+
+  if (warm.fresh + warm.reused == 0) GTEST_SKIP() << "no mmap-backed pool here";
+  EXPECT_EQ(steady.fresh, 0u);
+  EXPECT_GT(steady.reused, 0u);
+  EXPECT_GT(first.matches, 0u);
+  EXPECT_EQ(second.matches, first.matches);
+  EXPECT_EQ(second.checksum, first.checksum);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Backends, PoolSteadyState,
+    ::testing::Combine(::testing::Values(Backend::kSim, Backend::kRt),
+                       ::testing::Values(Algorithm::kHashJoin,
+                                         Algorithm::kSortMergeJoin)));
+
+TEST(PoolSteadyState, SecondSharedWaveMapsNoFreshPoolBytes) {
+  auto r = rel::generate({.rows = 1 << 19, .key_domain = 1 << 19, .seed = 103}, "R", 1);
+  auto s1 = rel::generate({.rows = 1 << 19, .key_domain = 1 << 19, .seed = 104}, "S1", 2);
+  auto s2 = rel::generate({.rows = 1 << 19, .key_domain = 1 << 19, .seed = 105}, "S2", 3);
+  const std::vector<SharedQuery> queries{SharedQuery{.stationary = &s1},
+                                         SharedQuery{.stationary = &s2}};
+  for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+    CycloJoin cyclo(steady_cluster(backend),
+                    JoinSpec{.algorithm = Algorithm::kHashJoin});
+    SharedRunReport first;
+    const PoolDelta warm =
+        pool_delta([&] { first = cyclo.run_shared(r, queries); });
+    SharedRunReport second;
+    const PoolDelta steady =
+        pool_delta([&] { second = cyclo.run_shared(r, queries); });
+
+    if (warm.fresh + warm.reused == 0) GTEST_SKIP() << "no mmap-backed pool here";
+    EXPECT_EQ(steady.fresh, 0u) << (backend == Backend::kSim ? "sim" : "rt");
+    EXPECT_GT(steady.reused, 0u);
+    ASSERT_EQ(second.queries.size(), 2u);
+    for (std::size_t q = 0; q < 2; ++q) {
+      EXPECT_GT(first.queries[q].matches, 0u);
+      EXPECT_EQ(second.queries[q].matches, first.queries[q].matches);
+      EXPECT_EQ(second.queries[q].checksum, first.queries[q].checksum);
+    }
+  }
+}
 
 // ----- the join-thread limit ----------------------------------------------
 
