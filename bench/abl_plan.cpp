@@ -20,8 +20,7 @@
 // Reported: summed setup+join wall per pipeline, ring wire bytes
 // (rotation + redistribution), and coordinator bytes (rows gathered into
 // one process between rounds; 0 for the distributed executor). Both
-// backends run via --backend=sim|rt; BENCH_plan.json rows feed the
-// bench/regress --plan_baseline gate.
+// backends run via --backend=sim|rt and write BENCH_plan.json.
 #include <vector>
 
 #include "harness.h"

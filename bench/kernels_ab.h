@@ -1,23 +1,26 @@
-// The kernel A/B cases shared by bench/micro_kernels (baseline producer)
-// and bench/regress (regression gate): one measurable closure per
-// kernel x variant x size, over identical inputs (same generator seeds),
-// so a BENCH_kernels.json written by one binary is comparable with a
+// The kernel cases shared by bench/micro_kernels (baseline producer) and
+// bench/regress (regression gate): one measurable closure per kernel x
+// variant x size, over identical inputs (same generator seeds), so a
+// BENCH_kernels.json written by one binary is comparable with a
 // re-measurement taken by the other.
 //
-// Cases cross-validate: both variants of a probe case compute an
-// order-independent checksum, and checksum() lets callers assert the
-// variants agree before trusting the timings.
+// Every probe case is checked against an independent reference: its
+// order-independent checksum must equal that of a sort-merge equi-join of
+// the same inputs (check_checksum), so a wrong hash join fails the run
+// before any of its timings is trusted.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/assert.h"
 #include "join/hash_join.h"
+#include "join/local_join.h"
 #include "join/radix.h"
 #include "join/simd.h"
 #include "rel/generator.h"
@@ -27,12 +30,15 @@ namespace cj::bench {
 /// One measurable kernel configuration. `run` executes exactly one rep of
 /// the kernel (allocation included, like the virtual-time closures in the
 /// simulator) and returns a checksum when the kernel produces join output
-/// (0 otherwise). Inputs are owned by the closure (shared with the other
-/// cases of the same size).
+/// (a size otherwise). Inputs are owned by the closure (shared with the
+/// other cases of the same size).
 struct KernelCase {
-  std::string kernel;   ///< "radix_cluster", "hash_build", "hash_build_staged",
-                        ///< "probe_partition", "probe_cached", "probe_simd"
-  std::string variant;  ///< "legacy" | "optimized"
+  std::string kernel;   ///< "radix_cluster", "hash_build", "probe_partition",
+                        ///< "probe_cached", "probe_simd"
+  /// "optimized", or "legacy" for probe_simd's forced-scalar twin. The
+  /// names match the rows of the checked-in baseline, which also keeps the
+  /// frozen numbers of the removed pre-optimization kernels.
+  std::string variant;
   std::int64_t rows = 0;
   int radix_bits = 0;
   /// Resolved SIMD dispatch tier this case's kernels execute under
@@ -41,15 +47,20 @@ struct KernelCase {
   /// a measurement taken at another — kernel times across tiers are
   /// different code paths, not noise.
   std::string tier;
-  /// True when run()'s return value is an order-independent join checksum
-  /// that must agree across this kernel's variants (probe cases). False
-  /// where the variants legitimately return different values (e.g.
-  /// hash_build returns table bytes, and the layouts differ by design).
-  bool cross_validate = false;
+  /// For probe cases, the checksum of a sort-merge equi-join of the same
+  /// inputs, which run() must return.
+  std::optional<std::uint64_t> reference;
   std::function<std::uint64_t()> run;
 
   std::string label() const { return kernel + "/" + variant; }
 };
+
+/// Aborts when a probe case's checksum disagrees with its sort-merge
+/// reference: the hash join is wrong and no timing of it can be trusted.
+inline void check_checksum(const KernelCase& c, std::uint64_t checksum) {
+  CJ_CHECK_MSG(!c.reference.has_value() || *c.reference == checksum,
+               "kernel case checksum differs from the sort-merge reference");
+}
 
 namespace internal {
 
@@ -60,99 +71,56 @@ struct AbInputs {
   rel::Relation s;
   // Pre-built probe state: the probe cases measure the table walk, not the
   // build that precedes it.
-  join::HashJoinStationary legacy_single, opt_single;    // radix_bits = 0
-  join::PartitionedData legacy_single_r, opt_single_r;
-  join::HashJoinStationary legacy_cached, opt_cached;    // cache-budget bits
-  join::PartitionedData legacy_cached_r, opt_cached_r;
+  join::HashJoinStationary single;     // radix_bits = 0
+  join::PartitionedData single_r;
+  join::HashJoinStationary cached;     // cache-budget bits
+  join::PartitionedData cached_r;
   join::HashJoinStationary scalar_cached;  // simd forced off, same layout
 };
 
 }  // namespace internal
 
-/// Builds the full A/B case list for one input size. Seeds match the
+/// Builds the full case list for one input size. Seeds match the
 /// historical micro_kernels sweep (41/42) so fresh measurements are
 /// comparable with checked-in baselines.
 inline std::vector<KernelCase> make_kernel_cases(std::int64_t rows) {
-  const join::KernelConfig legacy_kernel = join::KernelConfig::legacy();
-  const join::KernelConfig opt_kernel{};
-  join::RadixConfig legacy_cfg;
-  legacy_cfg.kernel = legacy_kernel;
-  join::RadixConfig opt_cfg;
-  opt_cfg.kernel = opt_kernel;
+  const join::RadixConfig cfg;
+  const join::KernelConfig kernel = cfg.kernel;
 
   auto in = std::make_shared<internal::AbInputs>();
   const auto n = static_cast<std::uint64_t>(rows);
   in->r = rel::generate({.rows = n, .key_domain = n, .seed = 41}, "bench", 1);
   in->s = rel::generate({.rows = n, .key_domain = n, .seed = 42}, "bench", 2);
+  const std::uint64_t reference =
+      join::local_sort_merge_join(in->r.tuples(), in->s.tuples()).checksum();
 
-  // One bit choice for both variants (the optimized layout's slightly
-  // coarser pick) so items/sec compares like for like.
-  const int bits = join::choose_radix_bits(static_cast<std::size_t>(rows), opt_cfg);
-
-  const std::string legacy_tier =
-      join::simd_tier_name(join::resolve_simd(legacy_kernel.simd));
-  const std::string opt_tier =
-      join::simd_tier_name(join::resolve_simd(opt_kernel.simd));
+  const int bits = join::choose_radix_bits(static_cast<std::size_t>(rows), cfg);
+  const std::string tier = join::simd_tier_name(join::resolve_simd(kernel.simd));
 
   std::vector<KernelCase> cases;
-  const auto add = [&](const char* kernel, const char* variant, int case_bits,
-                       std::function<std::uint64_t()> run,
-                       bool cross_validate = false) {
-    const bool legacy = std::string_view(variant) == "legacy";
-    cases.push_back(KernelCase{kernel, variant, rows, case_bits,
-                               legacy ? legacy_tier : opt_tier, cross_validate,
-                               std::move(run)});
+  const auto add = [&](const char* name, const char* variant, int case_bits,
+                       std::string case_tier, std::function<std::uint64_t()> run,
+                       std::optional<std::uint64_t> expected = std::nullopt) {
+    cases.push_back(KernelCase{name, variant, rows, case_bits,
+                               std::move(case_tier), expected, std::move(run)});
   };
 
-  add("radix_cluster", "legacy", bits, [in, bits, legacy_kernel] {
-    auto parts = join::radix_cluster(in->r.tuples(), bits, 8, legacy_kernel);
+  add("radix_cluster", "optimized", bits, tier, [in, bits, kernel] {
+    auto parts = join::radix_cluster(in->r.tuples(), bits, 8, kernel);
     return static_cast<std::uint64_t>(parts.rows());
   });
-  add("radix_cluster", "optimized", bits, [in, bits, opt_kernel] {
-    auto parts = join::radix_cluster(in->r.tuples(), bits, 8, opt_kernel);
-    return static_cast<std::uint64_t>(parts.rows());
-  });
-
-  add("hash_build", "legacy", bits, [in, bits, legacy_cfg] {
-    auto t = join::HashJoinStationary::build(in->s.tuples(), bits, legacy_cfg);
-    return static_cast<std::uint64_t>(t.bytes());
-  });
-  add("hash_build", "optimized", bits, [in, bits, opt_cfg] {
-    auto t = join::HashJoinStationary::build(in->s.tuples(), bits, opt_cfg);
+  add("hash_build", "optimized", bits, tier, [in, bits, cfg] {
+    auto t = join::HashJoinStationary::build(in->s.tuples(), bits, cfg);
     return static_cast<std::uint64_t>(t.bytes());
   });
 
-  // Staged-build A/B: same bucket-group layout on both sides, but the
-  // "legacy" variant switches the write-combining machinery off
-  // (buffered_scatter = false disables both the staged scatter of the radix
-  // pass and the fused region-staged table build), so this pair isolates
-  // what the software write-combining path buys over random direct stores.
-  // Below the staged-build size gate both variants run the direct build and
-  // the ratio is ~1 by construction.
-  join::RadixConfig unstaged_cfg = opt_cfg;
-  unstaged_cfg.kernel.buffered_scatter = false;
-  add("hash_build_staged", "legacy", bits, [in, bits, unstaged_cfg] {
-    auto t = join::HashJoinStationary::build(in->s.tuples(), bits, unstaged_cfg);
-    return static_cast<std::uint64_t>(t.bytes());
-  });
-  add("hash_build_staged", "optimized", bits, [in, bits, opt_cfg] {
-    auto t = join::HashJoinStationary::build(in->s.tuples(), bits, opt_cfg);
-    return static_cast<std::uint64_t>(t.bytes());
-  });
-
-  // Probe A/B, two shapes (docs/KERNELS.md): `probe_partition` at
+  // Probes, two shapes (docs/KERNELS.md): `probe_partition` at
   // radix_bits = 0 — one table far larger than L2, isolating the table
-  // walk the fingerprint layout and prefetch pipeline redesign —
-  // and `probe_cached` at the cache-budget bits the system would pick.
-  in->legacy_single = join::HashJoinStationary::build(in->s.tuples(), 0, legacy_cfg);
-  in->opt_single = join::HashJoinStationary::build(in->s.tuples(), 0, opt_cfg);
-  in->legacy_single_r = join::radix_cluster(in->r.tuples(), 0, 8, legacy_kernel);
-  in->opt_single_r = join::radix_cluster(in->r.tuples(), 0, 8, opt_kernel);
-  in->legacy_cached =
-      join::HashJoinStationary::build(in->s.tuples(), bits, legacy_cfg);
-  in->opt_cached = join::HashJoinStationary::build(in->s.tuples(), bits, opt_cfg);
-  in->legacy_cached_r = join::radix_cluster(in->r.tuples(), bits, 8, legacy_kernel);
-  in->opt_cached_r = join::radix_cluster(in->r.tuples(), bits, 8, opt_kernel);
+  // walk — and `probe_cached` at the cache-budget bits the system picks.
+  in->single = join::HashJoinStationary::build(in->s.tuples(), 0, cfg);
+  in->single_r = join::radix_cluster(in->r.tuples(), 0, 8, kernel);
+  in->cached = join::HashJoinStationary::build(in->s.tuples(), bits, cfg);
+  in->cached_r = join::radix_cluster(in->r.tuples(), bits, 8, kernel);
 
   const auto probe_all = [](const join::HashJoinStationary& built,
                             const join::PartitionedData& parts) {
@@ -162,35 +130,26 @@ inline std::vector<KernelCase> make_kernel_cases(std::int64_t rows) {
     }
     return result.checksum();
   };
-  add("probe_partition", "legacy", 0,
-      [in, probe_all] { return probe_all(in->legacy_single, in->legacy_single_r); },
-      /*cross_validate=*/true);
-  add("probe_partition", "optimized", 0,
-      [in, probe_all] { return probe_all(in->opt_single, in->opt_single_r); },
-      /*cross_validate=*/true);
-  add("probe_cached", "legacy", bits,
-      [in, probe_all] { return probe_all(in->legacy_cached, in->legacy_cached_r); },
-      /*cross_validate=*/true);
-  add("probe_cached", "optimized", bits,
-      [in, probe_all] { return probe_all(in->opt_cached, in->opt_cached_r); },
-      /*cross_validate=*/true);
+  add("probe_partition", "optimized", 0, tier,
+      [in, probe_all] { return probe_all(in->single, in->single_r); }, reference);
+  add("probe_cached", "optimized", bits, tier,
+      [in, probe_all] { return probe_all(in->cached, in->cached_r); }, reference);
 
-  // SIMD-tier A/B over identical bucket-group tables: the layout does not
+  // SIMD-tier pair over identical bucket-group tables: the layout does not
   // depend on KernelConfig::simd, so forcing the scalar tier ("legacy")
   // against the resolved best tier ("optimized") isolates the vector
   // fingerprint compare itself. On a machine whose best tier IS scalar the
-  // pair degenerates to a self-compare at ratio ~1 — which is what makes
-  // the scalar-fallback CI job's numbers comparable.
-  join::RadixConfig scalar_cfg = opt_cfg;
+  // pair degenerates to a self-compare at ratio ~1.
+  join::RadixConfig scalar_cfg = cfg;
   scalar_cfg.kernel.simd = join::Simd::kScalar;
   in->scalar_cached =
       join::HashJoinStationary::build(in->s.tuples(), bits, scalar_cfg);
   add("probe_simd", "legacy", bits,
-      [in, probe_all] { return probe_all(in->scalar_cached, in->opt_cached_r); },
-      /*cross_validate=*/true);
-  add("probe_simd", "optimized", bits,
-      [in, probe_all] { return probe_all(in->opt_cached, in->opt_cached_r); },
-      /*cross_validate=*/true);
+      join::simd_tier_name(join::resolve_simd(scalar_cfg.kernel.simd)),
+      [in, probe_all] { return probe_all(in->scalar_cached, in->cached_r); },
+      reference);
+  add("probe_simd", "optimized", bits, tier,
+      [in, probe_all] { return probe_all(in->cached, in->cached_r); }, reference);
   return cases;
 }
 

@@ -21,23 +21,14 @@
 // this run resolves — cross-tier times are different code paths, not a
 // regression signal.
 //
+// Baseline rows this run does not measure are ignored: they are neither
+// judged nor tier-checked, and they do not feed the normalization. That is
+// how the checked-in BENCH_kernels.json keeps the frozen numbers of the
+// removed pre-optimization kernels ("legacy" rows) next to the gated ones.
+//
 // Exit codes: 0 clean (improvements included), 1 regression, 2 usage.
 // Writes REGRESS_report.json (the verdict table, machine-readable) and
 // REGRESS_profile.json (per-phase counters of one profiled rep).
-//
-// A second mode gates the serving layer: --serve_baseline + --serve_current
-// compare two BENCH_serve.json files (from bench/serve_throughput) row by
-// row, keyed by wave width. The same two defenses apply, made
-// direction-aware: qps regresses when it drops, p99_ms / wait_p99_ms when
-// they rise, and the median slowness ratio over every (row, metric) pair is
-// divided out first. Cross-backend files are refused like kernel baselines.
-//
-// A third mode gates the query planner: --plan_baseline + --plan_current
-// compare two BENCH_plan.json files (from bench/abl_plan) row by row,
-// keyed by (shape, variant). total_s regresses upward with the machine-
-// speed normalization computed over the time ratios alone; wire_mb is a
-// deterministic byte count — the executor moved more data, no speed to
-// normalize away — so it is judged raw. Cross-backend files are refused.
 //
 // Flags:
 //   --baseline=PATH        baseline BENCH_kernels.json (required for gating)
@@ -51,14 +42,6 @@
 //   --self_check           deterministic in-process test of the gate logic
 //   --report_out=PATH      verdict table    (default REGRESS_report.json)
 //   --profile_out=PATH     kernel profile   (default REGRESS_profile.json)
-//   --serve_baseline=PATH  baseline BENCH_serve.json  (enables serve mode)
-//   --serve_current=PATH   current  BENCH_serve.json  (required with above)
-//   --serve_min_abs_ms=F   absolute latency threshold, serve mode (default 1)
-//   --serve_min_abs_qps=F  absolute qps threshold, serve mode   (default 0.5)
-//   --plan_baseline=PATH   baseline BENCH_plan.json   (enables plan mode)
-//   --plan_current=PATH    current  BENCH_plan.json   (required with above)
-//   --plan_min_abs_s=F     absolute time threshold, plan mode (default 0.01)
-//   --plan_min_abs_mb=F    absolute wire threshold, plan mode (default 1)
 #include <algorithm>
 #include <cctype>
 #include <cinttypes>
@@ -302,16 +285,15 @@ double median(std::vector<double> xs) {
   return xs.size() % 2 == 1 ? xs[mid] : 0.5 * (xs[mid - 1] + xs[mid]);
 }
 
-/// Median-of-`reps` measurement of every A/B case at the given sizes.
-/// Checksums cross-validate legacy vs optimized per (kernel, size); a
-/// mismatch means the kernels disagree and no timing can be trusted.
+/// Median-of-`reps` measurement of every kernel case at the given sizes.
+/// Every probe's checksum must equal its sort-merge reference; a mismatch
+/// means the hash join is wrong and no timing can be trusted.
 /// When `profiler` is non-null, one extra (untimed) profiled rep per case
 /// attributes per-phase counters under entity = "kernel/variant".
 Table measure(const std::vector<std::int64_t>& sizes, int reps,
               obs::prof::KernelProfiler* profiler) {
   Table out;
   for (const std::int64_t rows : sizes) {
-    std::map<std::string, std::uint64_t> checksums;  // kernel -> checksum
     for (const bench::KernelCase& c : bench::make_kernel_cases(rows)) {
       // Untimed warm-up rep (faults in freshly generated inputs, primes the
       // arena); when profiling, it doubles as the attributed counter rep.
@@ -329,11 +311,7 @@ Table measure(const std::vector<std::int64_t>& sizes, int reps,
         times.push_back(
             static_cast<double>(measure_cpu([&] { checksum = c.run(); })));
       }
-      if (c.cross_validate) {
-        auto [it, inserted] = checksums.emplace(c.kernel, checksum);
-        CJ_CHECK_MSG(inserted || it->second == checksum,
-                     "kernel A/B checksum mismatch: the variants disagree");
-      }
+      bench::check_checksum(c, checksum);
       out[CaseKey{c.kernel, c.variant, rows}] =
           Sample{median(times), c.radix_bits, c.tier};
     }
@@ -493,368 +471,6 @@ void write_baseline_file(const std::string& path, const Table& measured) {
   std::printf("wrote baseline %s (%zu cases)\n", path.c_str(), measured.size());
 }
 
-// ------------------------------------------------------------ serve gate
-//
-// Same philosophy applied to the serving layer's BENCH_serve.json: compare
-// a current file against a baseline file row by row (keyed by the wave
-// width "inflight"), direction-aware — qps regresses downward, p99_ms /
-// wait_p99_ms regress upward. No re-measurement happens here (a serving
-// sweep is minutes, not microseconds); the CI job produces the current
-// file anyway and this gate judges it. Machine-speed normalization works
-// on "slowness ratios": each latency contributes current/baseline, qps
-// contributes baseline/current, and the median over every (row, metric)
-// pair is divided out before judging — a uniformly slower machine shifts
-// all ratios together, a real regression shifts one against the rest.
-// Comparing across backends (sim virtual seconds vs rt wall seconds) is
-// refused outright, like the kernel gate's backend refusal.
-
-struct ServeRow {
-  double qps = 0;
-  double p99_ms = 0;
-  double wait_p99_ms = 0;
-};
-
-using ServeTable = std::map<std::int64_t, ServeRow>;
-
-std::optional<ServeTable> load_serve(const std::string& path,
-                                     std::string* backend_out) {
-  auto text = read_file(path);
-  if (!text.has_value()) return std::nullopt;
-  auto root = JsonParser(*text).parse();
-  if (!root.has_value()) return std::nullopt;
-  *backend_out = "sim";
-  if (const JsonValue* backend = root->find("backend")) {
-    if (backend->kind == JsonValue::Kind::kString) {
-      *backend_out = backend->string;
-    }
-  }
-  const JsonValue* trajectory = root->find("trajectory");
-  if (trajectory == nullptr || trajectory->kind != JsonValue::Kind::kArray)
-    return std::nullopt;
-  ServeTable table;
-  for (const JsonValue& row : trajectory->array) {
-    const JsonValue* inflight = row.find("inflight");
-    const JsonValue* qps = row.find("qps");
-    const JsonValue* p99 = row.find("p99_ms");
-    const JsonValue* wait = row.find("wait_p99_ms");
-    if (inflight == nullptr || qps == nullptr || p99 == nullptr ||
-        wait == nullptr) {
-      continue;
-    }
-    table[static_cast<std::int64_t>(inflight->number)] =
-        ServeRow{qps->number, p99->number, wait->number};
-  }
-  return table;
-}
-
-struct ServeVerdict {
-  std::int64_t inflight = 0;
-  const char* metric = "";
-  double baseline = 0;
-  double measured = 0;
-  double normalized = 0;
-  Status status = Status::kOk;
-};
-
-struct ServeGateResult {
-  double speed_ratio = 1.0;  ///< median slowness over all (row, metric)
-  std::vector<ServeVerdict> verdicts;
-  int regressions = 0;
-  int improvements = 0;
-};
-
-ServeGateResult apply_serve_gate(const ServeTable& baseline,
-                                 const ServeTable& current, double tolerance,
-                                 double min_abs_ms, double min_abs_qps) {
-  ServeGateResult result;
-  std::vector<double> slowness;
-  for (const auto& [inflight, row] : current) {
-    auto it = baseline.find(inflight);
-    if (it == baseline.end()) continue;
-    const ServeRow& base = it->second;
-    if (base.qps > 0 && row.qps > 0) slowness.push_back(base.qps / row.qps);
-    if (base.p99_ms > 0 && row.p99_ms > 0) {
-      slowness.push_back(row.p99_ms / base.p99_ms);
-    }
-    if (base.wait_p99_ms > 0 && row.wait_p99_ms > 0) {
-      slowness.push_back(row.wait_p99_ms / base.wait_p99_ms);
-    }
-  }
-  if (!slowness.empty()) result.speed_ratio = median(slowness);
-
-  // judge(higher_better): latencies divide the slowness out, qps multiplies
-  // it back in (a slower machine yields fewer queries/sec, not more).
-  const auto judge = [&](std::int64_t inflight, const char* metric,
-                         double base, double measured, bool higher_better,
-                         double min_abs) {
-    ServeVerdict v;
-    v.inflight = inflight;
-    v.metric = metric;
-    v.baseline = base;
-    v.measured = measured;
-    v.normalized = higher_better ? measured * result.speed_ratio
-                                 : measured / result.speed_ratio;
-    if (base > 0) {
-      const double delta =
-          higher_better ? base - v.normalized : v.normalized - base;
-      if (delta > base * tolerance && delta > min_abs) {
-        v.status = Status::kRegression;
-        ++result.regressions;
-      } else if (-delta > base * tolerance && -delta > min_abs) {
-        v.status = Status::kImprovement;
-        ++result.improvements;
-      }
-    }
-    result.verdicts.push_back(v);
-  };
-
-  for (const auto& [inflight, row] : current) {
-    auto it = baseline.find(inflight);
-    if (it == baseline.end()) {
-      result.verdicts.push_back(ServeVerdict{
-          inflight, "row", 0, 0, 0, Status::kNoBaseline});
-      continue;
-    }
-    const ServeRow& base = it->second;
-    judge(inflight, "qps", base.qps, row.qps, /*higher_better=*/true,
-          min_abs_qps);
-    judge(inflight, "p99_ms", base.p99_ms, row.p99_ms,
-          /*higher_better=*/false, min_abs_ms);
-    judge(inflight, "wait_p99_ms", base.wait_p99_ms, row.wait_p99_ms,
-          /*higher_better=*/false, min_abs_ms);
-  }
-  return result;
-}
-
-void print_serve_gate(const ServeGateResult& result, double tolerance) {
-  std::printf("serve machine speed ratio (median slowness): %.3f\n",
-              result.speed_ratio);
-  std::printf("tolerance: %.0f%% (direction-aware)\n\n", tolerance * 100.0);
-  std::printf("%10s %-12s %12s %12s %12s  %s\n", "inflight", "metric",
-              "baseline", "measured", "normalized", "status");
-  for (const ServeVerdict& v : result.verdicts) {
-    std::printf("%10lld %-12s %12.3f %12.3f %12.3f  %s\n",
-                static_cast<long long>(v.inflight), v.metric, v.baseline,
-                v.measured, v.normalized, status_name(v.status));
-  }
-  std::printf("\n%d regression(s), %d improvement(s) over %zu check(s)\n",
-              result.regressions, result.improvements,
-              result.verdicts.size());
-}
-
-void write_serve_report(const std::string& path,
-                        const std::string& baseline_path,
-                        const std::string& current_path,
-                        const ServeGateResult& result, double tolerance) {
-  if (path.empty()) return;
-  std::string out = "{\"mode\":\"serve\",\"baseline\":\"" + baseline_path +
-                    "\",\"current\":\"" + current_path + "\",\"speed_ratio\":";
-  append_double(out, result.speed_ratio);
-  out += ",\"tolerance\":";
-  append_double(out, tolerance);
-  out += ",\"regressions\":" + std::to_string(result.regressions);
-  out += ",\"improvements\":" + std::to_string(result.improvements);
-  out += ",\"cases\":[";
-  bool first = true;
-  for (const ServeVerdict& v : result.verdicts) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"inflight\":" + std::to_string(v.inflight) + ",\"metric\":\"";
-    out += v.metric;
-    out += "\",\"baseline\":";
-    append_double(out, v.baseline);
-    out += ",\"measured\":";
-    append_double(out, v.measured);
-    out += ",\"normalized\":";
-    append_double(out, v.normalized);
-    out += ",\"status\":\"";
-    out += status_name(v.status);
-    out += "\"}";
-  }
-  out += "]}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
-// ------------------------------------------------------------- plan gate
-//
-// Gate over the planner ablation's BENCH_plan.json: rows keyed by
-// (shape, variant), two metrics per row. total_s is wall time — machine
-// speed matters, so the median current/baseline time ratio is divided out
-// first (computed over the time pairs only). wire_mb is a byte count the
-// executor either moved or did not; a "faster machine" cannot shrink it,
-// so it is judged raw against the same relative tolerance. Cross-backend
-// comparison (sim virtual seconds vs rt wall seconds) is refused.
-
-struct PlanRow {
-  double total_s = 0;
-  double wire_mb = 0;
-};
-
-using PlanTable = std::map<std::pair<std::string, std::string>, PlanRow>;
-
-std::optional<PlanTable> load_plan(const std::string& path,
-                                   std::string* backend_out) {
-  auto text = read_file(path);
-  if (!text.has_value()) return std::nullopt;
-  auto root = JsonParser(*text).parse();
-  if (!root.has_value()) return std::nullopt;
-  *backend_out = "sim";
-  if (const JsonValue* backend = root->find("backend")) {
-    if (backend->kind == JsonValue::Kind::kString) {
-      *backend_out = backend->string;
-    }
-  }
-  const JsonValue* trajectory = root->find("trajectory");
-  if (trajectory == nullptr || trajectory->kind != JsonValue::Kind::kArray)
-    return std::nullopt;
-  PlanTable table;
-  for (const JsonValue& row : trajectory->array) {
-    const JsonValue* shape = row.find("shape");
-    const JsonValue* variant = row.find("variant");
-    const JsonValue* total_s = row.find("total_s");
-    const JsonValue* wire_mb = row.find("wire_mb");
-    if (shape == nullptr || variant == nullptr || total_s == nullptr ||
-        wire_mb == nullptr) {
-      continue;
-    }
-    table[{shape->string, variant->string}] =
-        PlanRow{total_s->number, wire_mb->number};
-  }
-  return table;
-}
-
-struct PlanVerdict {
-  std::string row;  ///< "shape/variant"
-  const char* metric = "";
-  double baseline = 0;
-  double measured = 0;
-  double normalized = 0;
-  Status status = Status::kOk;
-};
-
-struct PlanGateResult {
-  double speed_ratio = 1.0;  ///< median current/baseline over time pairs
-  std::vector<PlanVerdict> verdicts;
-  int regressions = 0;
-  int improvements = 0;
-};
-
-PlanGateResult apply_plan_gate(const PlanTable& baseline,
-                               const PlanTable& current, double tolerance,
-                               double min_abs_s, double min_abs_mb) {
-  PlanGateResult result;
-  std::vector<double> slowness;
-  for (const auto& [key, row] : current) {
-    auto it = baseline.find(key);
-    if (it == baseline.end()) continue;
-    if (it->second.total_s > 0 && row.total_s > 0) {
-      slowness.push_back(row.total_s / it->second.total_s);
-    }
-  }
-  if (!slowness.empty()) result.speed_ratio = median(slowness);
-
-  const auto judge = [&](const std::string& name, const char* metric,
-                         double base, double measured, bool normalize,
-                         double min_abs) {
-    PlanVerdict v;
-    v.row = name;
-    v.metric = metric;
-    v.baseline = base;
-    v.measured = measured;
-    v.normalized = normalize ? measured / result.speed_ratio : measured;
-    if (base > 0) {
-      const double delta = v.normalized - base;
-      if (delta > base * tolerance && delta > min_abs) {
-        v.status = Status::kRegression;
-        ++result.regressions;
-      } else if (-delta > base * tolerance && -delta > min_abs) {
-        v.status = Status::kImprovement;
-        ++result.improvements;
-      }
-    }
-    result.verdicts.push_back(std::move(v));
-  };
-
-  for (const auto& [key, row] : current) {
-    const std::string name = key.first + "/" + key.second;
-    auto it = baseline.find(key);
-    if (it == baseline.end()) {
-      result.verdicts.push_back(
-          PlanVerdict{name, "row", 0, 0, 0, Status::kNoBaseline});
-      continue;
-    }
-    judge(name, "total_s", it->second.total_s, row.total_s,
-          /*normalize=*/true, min_abs_s);
-    judge(name, "wire_mb", it->second.wire_mb, row.wire_mb,
-          /*normalize=*/false, min_abs_mb);
-  }
-  return result;
-}
-
-void print_plan_gate(const PlanGateResult& result, double tolerance) {
-  std::printf("plan machine speed ratio (median time ratio): %.3f\n",
-              result.speed_ratio);
-  std::printf("tolerance: %.0f%% (wire bytes judged raw)\n\n",
-              tolerance * 100.0);
-  std::printf("%-18s %-8s %12s %12s %12s  %s\n", "row", "metric", "baseline",
-              "measured", "normalized", "status");
-  for (const PlanVerdict& v : result.verdicts) {
-    std::printf("%-18s %-8s %12.3f %12.3f %12.3f  %s\n", v.row.c_str(),
-                v.metric, v.baseline, v.measured, v.normalized,
-                status_name(v.status));
-  }
-  std::printf("\n%d regression(s), %d improvement(s) over %zu check(s)\n",
-              result.regressions, result.improvements,
-              result.verdicts.size());
-}
-
-void write_plan_report(const std::string& path,
-                       const std::string& baseline_path,
-                       const std::string& current_path,
-                       const PlanGateResult& result, double tolerance) {
-  if (path.empty()) return;
-  std::string out = "{\"mode\":\"plan\",\"baseline\":\"" + baseline_path +
-                    "\",\"current\":\"" + current_path + "\",\"speed_ratio\":";
-  append_double(out, result.speed_ratio);
-  out += ",\"tolerance\":";
-  append_double(out, tolerance);
-  out += ",\"regressions\":" + std::to_string(result.regressions);
-  out += ",\"improvements\":" + std::to_string(result.improvements);
-  out += ",\"cases\":[";
-  bool first = true;
-  for (const PlanVerdict& v : result.verdicts) {
-    if (!first) out += ",";
-    first = false;
-    out += "{\"row\":\"" + v.row + "\",\"metric\":\"";
-    out += v.metric;
-    out += "\",\"baseline\":";
-    append_double(out, v.baseline);
-    out += ",\"measured\":";
-    append_double(out, v.measured);
-    out += ",\"normalized\":";
-    append_double(out, v.normalized);
-    out += ",\"status\":\"";
-    out += status_name(v.status);
-    out += "\"}";
-  }
-  out += "]}\n";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fwrite(out.data(), 1, out.size(), f);
-  std::fclose(f);
-  std::printf("wrote %s\n", path.c_str());
-}
-
 /// --inject_slowdown=kernel[/variant]:PCT — multiplies the matching
 /// measured times. Returns false on a malformed spec.
 bool apply_injection(Table& measured, const std::string& spec) {
@@ -881,11 +497,41 @@ bool apply_injection(Table& measured, const std::string& spec) {
   return matched;
 }
 
+/// First measured case whose baseline row was recorded at a different SIMD
+/// tier, or nullptr. Baseline rows without a "tier" key (pre-tier files)
+/// and rows this run does not measure are exempt.
+const CaseKey* tier_mismatch(const Table& baseline, const Table& measured) {
+  for (const auto& [key, sample] : measured) {
+    auto it = baseline.find(key);
+    if (it == baseline.end() || it->second.tier.empty()) continue;
+    if (it->second.tier != sample.tier) return &key;
+  }
+  return nullptr;
+}
+
+/// Checks that `gate` flagged exactly the hash_build cases, one per size,
+/// and nothing else.
+bool only_hash_build_flagged(const GateResult& gate, std::size_t sizes) {
+  bool ok = gate.regressions == static_cast<int>(sizes);
+  for (const Verdict& v : gate.verdicts) {
+    if (v.status == Status::kRegression && v.key.kernel != "hash_build") {
+      std::printf("FAIL: '%s' flagged but was not injected\n",
+                  v.key.to_string().c_str());
+      ok = false;
+    }
+  }
+  if (!ok) print_gate(gate, 0.10, 1000.0);
+  return ok;
+}
+
 /// Deterministic in-process test of the gate logic itself (registered as a
 /// ctest): one set of measurements serves as its own baseline — the clean
 /// compare must pass with ratio exactly 1 — then a +20% injection into one
-/// kernel must be flagged even though the tolerance is 10%. No file I/O,
-/// no dependence on machine speed.
+/// kernel must be flagged even though the tolerance is 10%. The same must
+/// hold against a baseline that also carries rows this run does not
+/// measure (the frozen legacy-kernel rows of BENCH_kernels.json, at another
+/// tier): they are ignored, with no tier refusal. No file I/O, no
+/// dependence on machine speed.
 int self_check(const std::vector<std::int64_t>& sizes, int reps) {
   std::printf("== regress --self_check ==\n");
   const Table baseline = measure(sizes, reps, nullptr);
@@ -903,160 +549,53 @@ int self_check(const std::vector<std::int64_t>& sizes, int reps) {
 
   Table injected = baseline;
   CJ_CHECK(apply_injection(injected, "hash_build:20"));
-  GateResult gate = apply_gate(baseline, injected, /*tolerance=*/0.10,
-                               /*min_abs_ns=*/1000.0);
-  // Both hash_build variants were slowed at every size.
-  const int expected = static_cast<int>(sizes.size()) * 2;
-  if (gate.regressions != expected) {
-    std::printf("FAIL: injected +20%% on hash_build, expected %d flagged, "
-                "got %d\n",
-                expected, gate.regressions);
-    print_gate(gate, 0.10, 1000.0);
-    return 1;
-  }
   // The injection must not drag other kernels over the line via the
   // normalization (median ratio stays at the unslowed majority).
-  for (const Verdict& v : gate.verdicts) {
-    if (v.status == Status::kRegression && v.key.kernel != "hash_build") {
-      std::printf("FAIL: '%s' flagged but was not injected\n",
-                  v.key.to_string().c_str());
-      return 1;
+  if (!only_hash_build_flagged(apply_gate(baseline, injected, 0.10, 1000.0),
+                               sizes.size())) {
+    std::printf("FAIL: injected +20%% on hash_build not isolated\n");
+    return 1;
+  }
+  std::printf("injected +20%% on hash_build: flagged %zu/%zu case(s)\n",
+              sizes.size(), sizes.size());
+
+  // Frozen rows: every kernel of the removed legacy variant, 3x slower and
+  // tagged scalar, plus a kernel this run has no case for at all. Were
+  // they judged or normalized, the clean compare would shift by 3x.
+  Table frozen = baseline;
+  for (const std::int64_t rows : sizes) {
+    for (const char* kernel : {"radix_cluster", "hash_build", "hash_build_staged",
+                               "probe_partition", "probe_cached"}) {
+      const Sample& like = baseline.at(CaseKey{"probe_cached", "optimized", rows});
+      frozen.emplace(CaseKey{kernel, "legacy", rows},
+                     Sample{3.0 * like.cpu_ns, like.radix_bits, "scalar"});
     }
+    frozen.emplace(CaseKey{"hash_build_staged", "optimized", rows},
+                   Sample{1.0, 0, "avx2"});
   }
-  std::printf("injected +20%% on hash_build: flagged %d/%d case(s)\n",
-              gate.regressions, expected);
-
-  // -- serve gate: synthetic tables, no files, no machine dependence.
-  std::printf("\n-- serve gate --\n");
-  ServeTable serve_base;
-  serve_base[1] = ServeRow{10.0, 100.0, 40.0};
-  serve_base[2] = ServeRow{18.0, 120.0, 70.0};
-  serve_base[4] = ServeRow{30.0, 150.0, 90.0};
-  serve_base[8] = ServeRow{40.0, 200.0, 140.0};
-
-  ServeGateResult serve_clean =
-      apply_serve_gate(serve_base, serve_base, /*tolerance=*/0.10,
-                       /*min_abs_ms=*/1.0, /*min_abs_qps=*/0.5);
-  if (serve_clean.regressions != 0 || serve_clean.improvements != 0 ||
-      serve_clean.speed_ratio != 1.0) {
-    std::printf("FAIL: serve self-compare not clean\n");
-    print_serve_gate(serve_clean, 0.10);
+  if (const CaseKey* key = tier_mismatch(frozen, baseline)) {
+    std::printf("FAIL: tier refusal on unmeasured row '%s'\n",
+                key->to_string().c_str());
     return 1;
   }
-  std::printf("clean serve self-compare: ok (%zu checks)\n",
-              serve_clean.verdicts.size());
-
-  // A uniformly 1.5x-slower machine — every latency up, qps down by the
-  // same factor — must normalize away completely.
-  ServeTable uniform = serve_base;
-  for (auto& [inflight, row] : uniform) {
-    row.qps /= 1.5;
-    row.p99_ms *= 1.5;
-    row.wait_p99_ms *= 1.5;
-  }
-  ServeGateResult absorbed =
-      apply_serve_gate(serve_base, uniform, 0.10, 1.0, 0.5);
-  if (absorbed.regressions != 0) {
-    std::printf("FAIL: uniform 1.5x slowdown not absorbed (ratio %.3f)\n",
-                absorbed.speed_ratio);
-    print_serve_gate(absorbed, 0.10);
+  GateResult frozen_clean = apply_gate(frozen, baseline, 0.10, 1000.0);
+  if (frozen_clean.regressions != 0 || frozen_clean.improvements != 0 ||
+      frozen_clean.speed_ratio != 1.0 ||
+      frozen_clean.verdicts.size() != baseline.size()) {
+    std::printf("FAIL: unmeasured baseline rows were judged or normalized "
+                "(ratio %.3f, %zu verdicts for %zu cases)\n",
+                frozen_clean.speed_ratio, frozen_clean.verdicts.size(),
+                baseline.size());
     return 1;
   }
-  std::printf("uniform 1.5x slowdown absorbed: ok (ratio %.3f)\n",
-              absorbed.speed_ratio);
-
-  // A single-row tail blowup must be flagged — and nothing else.
-  ServeTable spiked = serve_base;
-  spiked[4].p99_ms *= 1.4;
-  ServeGateResult spike = apply_serve_gate(serve_base, spiked, 0.10, 1.0, 0.5);
-  bool spike_ok = spike.regressions == 1;
-  for (const ServeVerdict& v : spike.verdicts) {
-    if (v.status == Status::kRegression &&
-        (v.inflight != 4 || std::strcmp(v.metric, "p99_ms") != 0)) {
-      spike_ok = false;
-    }
-  }
-  if (!spike_ok) {
-    std::printf("FAIL: +40%% p99 at inflight=4 not isolated\n");
-    print_serve_gate(spike, 0.10);
+  if (!only_hash_build_flagged(apply_gate(frozen, injected, 0.10, 1000.0),
+                               sizes.size())) {
+    std::printf("FAIL: injection not isolated against the frozen baseline\n");
     return 1;
   }
-  std::printf("injected +40%% p99 at inflight=4: flagged exactly it\n");
-
-  // A throughput collapse on one row — qps is higher-better, so the drop
-  // itself must regress, not its reciprocal.
-  ServeTable throttled = serve_base;
-  throttled[2].qps *= 0.6;
-  ServeGateResult drop =
-      apply_serve_gate(serve_base, throttled, 0.10, 1.0, 0.5);
-  bool drop_ok = drop.regressions == 1;
-  for (const ServeVerdict& v : drop.verdicts) {
-    if (v.status == Status::kRegression &&
-        (v.inflight != 2 || std::strcmp(v.metric, "qps") != 0)) {
-      drop_ok = false;
-    }
-  }
-  if (!drop_ok) {
-    std::printf("FAIL: -40%% qps at inflight=2 not isolated\n");
-    print_serve_gate(drop, 0.10);
-    return 1;
-  }
-  std::printf("injected -40%% qps at inflight=2: flagged exactly it\n");
-
-  // -- plan gate: synthetic tables, same philosophy.
-  std::printf("\n-- plan gate --\n");
-  PlanTable plan_base;
-  plan_base[{"chain", "planner"}] = PlanRow{0.5, 48.0};
-  plan_base[{"chain", "worst"}] = PlanRow{0.8, 60.0};
-  plan_base[{"star", "planner"}] = PlanRow{0.1, 0.7};
-  plan_base[{"star", "worst"}] = PlanRow{0.4, 28.0};
-
-  PlanGateResult plan_clean = apply_plan_gate(
-      plan_base, plan_base, /*tolerance=*/0.10, /*min_abs_s=*/0.01,
-      /*min_abs_mb=*/1.0);
-  if (plan_clean.regressions != 0 || plan_clean.improvements != 0 ||
-      plan_clean.speed_ratio != 1.0) {
-    std::printf("FAIL: plan self-compare not clean\n");
-    print_plan_gate(plan_clean, 0.10);
-    return 1;
-  }
-  std::printf("clean plan self-compare: ok (%zu checks)\n",
-              plan_clean.verdicts.size());
-
-  // A uniformly 2x-slower machine shifts every time together and must
-  // normalize away; the wire bytes it cannot touch stay clean too.
-  PlanTable plan_slow = plan_base;
-  for (auto& [key, row] : plan_slow) row.total_s *= 2.0;
-  PlanGateResult plan_absorbed =
-      apply_plan_gate(plan_base, plan_slow, 0.10, 0.01, 1.0);
-  if (plan_absorbed.regressions != 0) {
-    std::printf("FAIL: uniform 2x plan slowdown not absorbed (ratio %.3f)\n",
-                plan_absorbed.speed_ratio);
-    print_plan_gate(plan_absorbed, 0.10);
-    return 1;
-  }
-  std::printf("uniform 2x slowdown absorbed: ok (ratio %.3f)\n",
-              plan_absorbed.speed_ratio);
-
-  // Extra wire traffic on one row is a plan-quality regression no machine
-  // normalization may excuse — e.g. the DP starts picking a worse order.
-  PlanTable plan_chatty = plan_base;
-  plan_chatty[{"star", "planner"}].wire_mb = 14.0;
-  PlanGateResult chatty =
-      apply_plan_gate(plan_base, plan_chatty, 0.10, 0.01, 1.0);
-  bool chatty_ok = chatty.regressions == 1;
-  for (const PlanVerdict& v : chatty.verdicts) {
-    if (v.status == Status::kRegression &&
-        (v.row != "star/planner" || std::strcmp(v.metric, "wire_mb") != 0)) {
-      chatty_ok = false;
-    }
-  }
-  if (!chatty_ok) {
-    std::printf("FAIL: star/planner wire blowup not isolated\n");
-    print_plan_gate(chatty, 0.10);
-    return 1;
-  }
-  std::printf("injected 20x wire on star/planner: flagged exactly it\nPASS\n");
+  std::printf("baseline with %zu unmeasured row(s): ignored, injection "
+              "still isolated\nPASS\n",
+              frozen.size() - baseline.size());
   return 0;
 }
 
@@ -1077,15 +616,6 @@ int main(int argc, char** argv) {
       flags.get_string("report_out", "REGRESS_report.json");
   const std::string profile_out =
       flags.get_string("profile_out", "REGRESS_profile.json");
-  const std::string serve_baseline_path =
-      flags.get_string("serve_baseline", "");
-  const std::string serve_current_path = flags.get_string("serve_current", "");
-  const double serve_min_abs_ms = flags.get_double("serve_min_abs_ms", 1.0);
-  const double serve_min_abs_qps = flags.get_double("serve_min_abs_qps", 0.5);
-  const std::string plan_baseline_path = flags.get_string("plan_baseline", "");
-  const std::string plan_current_path = flags.get_string("plan_current", "");
-  const double plan_min_abs_s = flags.get_double("plan_min_abs_s", 0.01);
-  const double plan_min_abs_mb = flags.get_double("plan_min_abs_mb", 1.0);
   bench::check_unused_flags(flags);
 
   std::vector<std::int64_t> sizes(rows_flag.begin(), rows_flag.end());
@@ -1093,91 +623,6 @@ int main(int argc, char** argv) {
   if (run_self_check) {
     if (sizes.empty()) sizes = {1 << 14};
     return self_check(sizes, reps);
-  }
-
-  if (!serve_baseline_path.empty() || !serve_current_path.empty()) {
-    if (serve_baseline_path.empty() || serve_current_path.empty()) {
-      std::fprintf(stderr,
-                   "serve mode needs both --serve_baseline and "
-                   "--serve_current\n");
-      return 2;
-    }
-    std::string base_backend;
-    std::string cur_backend;
-    auto serve_base = load_serve(serve_baseline_path, &base_backend);
-    auto serve_cur = load_serve(serve_current_path, &cur_backend);
-    if (!serve_base.has_value() || serve_base->empty()) {
-      std::fprintf(stderr, "cannot load serve baseline from %s\n",
-                   serve_baseline_path.c_str());
-      return 2;
-    }
-    if (!serve_cur.has_value() || serve_cur->empty()) {
-      std::fprintf(stderr, "cannot load serve current from %s\n",
-                   serve_current_path.c_str());
-      return 2;
-    }
-    // Same refusal as the kernel gate: sim virtual seconds and rt wall
-    // seconds are different quantities; the normalization would silently
-    // absorb most of a backend switch and judge the residue as perf.
-    if (base_backend != cur_backend) {
-      std::fprintf(stderr,
-                   "serve baseline %s is tagged backend=\"%s\" but current "
-                   "%s is backend=\"%s\"; refusing to cross-compare\n",
-                   serve_baseline_path.c_str(), base_backend.c_str(),
-                   serve_current_path.c_str(), cur_backend.c_str());
-      return 2;
-    }
-    std::printf("== serve-regression gate (%s vs %s, backend %s) ==\n",
-                serve_current_path.c_str(), serve_baseline_path.c_str(),
-                cur_backend.c_str());
-    ServeGateResult result = apply_serve_gate(
-        *serve_base, *serve_cur, tolerance, serve_min_abs_ms,
-        serve_min_abs_qps);
-    print_serve_gate(result, tolerance);
-    write_serve_report(report_out, serve_baseline_path, serve_current_path,
-                       result, tolerance);
-    return result.regressions > 0 ? 1 : 0;
-  }
-
-  if (!plan_baseline_path.empty() || !plan_current_path.empty()) {
-    if (plan_baseline_path.empty() || plan_current_path.empty()) {
-      std::fprintf(stderr,
-                   "plan mode needs both --plan_baseline and "
-                   "--plan_current\n");
-      return 2;
-    }
-    std::string base_backend;
-    std::string cur_backend;
-    auto plan_base = load_plan(plan_baseline_path, &base_backend);
-    auto plan_cur = load_plan(plan_current_path, &cur_backend);
-    if (!plan_base.has_value() || plan_base->empty()) {
-      std::fprintf(stderr, "cannot load plan baseline from %s\n",
-                   plan_baseline_path.c_str());
-      return 2;
-    }
-    if (!plan_cur.has_value() || plan_cur->empty()) {
-      std::fprintf(stderr, "cannot load plan current from %s\n",
-                   plan_current_path.c_str());
-      return 2;
-    }
-    if (base_backend != cur_backend) {
-      std::fprintf(stderr,
-                   "plan baseline %s is tagged backend=\"%s\" but current "
-                   "%s is backend=\"%s\"; refusing to cross-compare\n",
-                   plan_baseline_path.c_str(), base_backend.c_str(),
-                   plan_current_path.c_str(), cur_backend.c_str());
-      return 2;
-    }
-    std::printf("== plan-regression gate (%s vs %s, backend %s) ==\n",
-                plan_current_path.c_str(), plan_baseline_path.c_str(),
-                cur_backend.c_str());
-    PlanGateResult result =
-        apply_plan_gate(*plan_base, *plan_cur, tolerance, plan_min_abs_s,
-                        plan_min_abs_mb);
-    print_plan_gate(result, tolerance);
-    write_plan_report(report_out, plan_baseline_path, plan_current_path,
-                      result, tolerance);
-    return result.regressions > 0 ? 1 : 0;
   }
 
   if (!write_baseline.empty()) {
@@ -1190,10 +635,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "usage: regress --baseline=BENCH_kernels.json "
                  "[--rows=...] [--reps=N] [--tolerance=F] [--min_abs_ns=N]\n"
-                 "       regress --serve_baseline=BENCH_serve.json "
-                 "--serve_current=BENCH_serve.json\n"
-                 "       regress --plan_baseline=BENCH_plan.json "
-                 "--plan_current=BENCH_plan.json\n"
                  "       regress --write_baseline=PATH [--rows=...]\n"
                  "       regress --self_check\n");
     return 2;
@@ -1246,21 +687,17 @@ int main(int argc, char** argv) {
   // baseline measured at one dispatch tier (say avx2) judged against a
   // re-measurement at another (a scalar-forced CI job, a different
   // machine) compares different code paths, and the machine-speed
-  // normalization would silently absorb most of the difference. Refuse;
-  // pre-tier baseline rows (no "tier" key) are exempt.
-  for (const auto& [key, sample] : measured) {
-    auto it = baseline->find(key);
-    if (it == baseline->end() || it->second.tier.empty()) continue;
-    if (it->second.tier != sample.tier) {
-      std::fprintf(stderr,
-                   "baseline case %s was measured at SIMD tier \"%s\" but "
-                   "this run dispatches to \"%s\"; refusing to cross-compare "
-                   "(re-create the baseline at this tier, or match it via "
-                   "CJ_SIMD=%s)\n",
-                   key.to_string().c_str(), it->second.tier.c_str(),
-                   sample.tier.c_str(), it->second.tier.c_str());
-      return 2;
-    }
+  // normalization would silently absorb most of the difference. Refuse.
+  if (const CaseKey* key = tier_mismatch(*baseline, measured)) {
+    const std::string& base_tier = baseline->at(*key).tier;
+    std::fprintf(stderr,
+                 "baseline case %s was measured at SIMD tier \"%s\" but "
+                 "this run dispatches to \"%s\"; refusing to cross-compare "
+                 "(re-create the baseline at this tier, or match it via "
+                 "CJ_SIMD=%s)\n",
+                 key->to_string().c_str(), base_tier.c_str(),
+                 measured.at(*key).tier.c_str(), base_tier.c_str());
+    return 2;
   }
 
   GateResult result = apply_gate(*baseline, measured, tolerance, min_abs_ns);

@@ -25,9 +25,16 @@ namespace cj::join {
 
 namespace detail {
 
-/// Hard cap on the probe batch size (KernelConfig::prefetch_distance is
-/// clamped to it). Shared with the build pipeline in hash_join.cpp.
-constexpr std::size_t kMaxProbeBatch = 64;
+/// Probe look-ahead: the batch whose home groups are prefetched while the
+/// previous batches are compared and key-checked. 16 gives an out-of-L2
+/// probe enough in-flight lines to cover L3/DRAM latency without evicting
+/// its own useful prefetches (bench/micro_kernels).
+constexpr std::size_t kProbeBatch = 16;
+
+/// Insert look-ahead of the direct build's pipeline (hash_join.cpp): a
+/// store burst per insert leaves less independent work per miss than a
+/// probe, so the build prefetches 4x as far ahead.
+constexpr std::size_t kBuildPrefetchDistance = 4 * kProbeBatch;
 
 inline void prefetch_ro(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -41,18 +48,17 @@ inline void prefetch_ro(const void* p) {
 /// GCC/Clang usually auto-vectorize the inner loop with the baseline ISA
 /// (SSE2 on x86-64), which is exactly what the scalar tier means: no
 /// hand-written intrinsics, no dispatch requirement.
-template <int G>
 struct ScalarGroupOps {
   static std::uint32_t match_mask(const std::uint16_t* fp, std::uint16_t want) {
     std::uint32_t m = 0;
-    for (int i = 0; i < G; ++i) {
+    for (int i = 0; i < PartitionHashTable::kGroupSize; ++i) {
       m |= static_cast<std::uint32_t>(fp[i] == want ? 1U : 0U) << i;
     }
     return m;
   }
   static std::uint32_t empty_mask(const std::uint16_t* fp) {
     std::uint32_t m = 0;
-    for (int i = 0; i < G; ++i) {
+    for (int i = 0; i < PartitionHashTable::kGroupSize; ++i) {
       m |= static_cast<std::uint32_t>(fp[i] == 0 ? 1U : 0U) << i;
     }
     return m;
@@ -65,13 +71,13 @@ struct ScalarGroupOps {
 /// completely full. Uncommon by construction (50% load with 16-slot groups
 /// keeps most clusters inside one group), so this is the cooler tail, not
 /// the hot path.
-template <int G, typename Ops>
+template <typename Ops>
 void PartitionHashTable::probe_walk(const rel::Tuple& r, std::uint32_t h,
                                     std::uint32_t g, JoinResult& result) const {
-  const BucketGroup<G>* groups = groups_ptr<G>();
+  const BucketGroup* groups = groups_;
   const std::uint16_t want = fingerprint_of(h);
   for (;;) {
-    const BucketGroup<G>& grp = groups[g];
+    const BucketGroup& grp = groups[g];
     for (std::uint32_t cand = Ops::match_mask(grp.fp, want); cand != 0;
          cand &= cand - 1) {
       const int c = std::countr_zero(cand);
@@ -80,34 +86,6 @@ void PartitionHashTable::probe_walk(const rel::Tuple& r, std::uint32_t h,
     }
     if (Ops::empty_mask(grp.fp) != 0) return;
     g = next_group(g);
-  }
-}
-
-/// Unpipelined probe loop (prefetch_distance == 0): one tuple at a time,
-/// home group then overflow walk. This is what the batched pipeline below
-/// must beat to justify its bookkeeping.
-template <int G, typename Ops>
-void PartitionHashTable::probe_groups(std::span<const rel::Tuple> r_run,
-                                      JoinResult& result) const {
-  if (prefetch_ > 0) {
-    probe_groups_batched<G, Ops>(r_run, result);
-    return;
-  }
-  const BucketGroup<G>* groups = groups_ptr<G>();
-  for (const rel::Tuple& r : r_run) {
-    const std::uint32_t h = hash_key(r.key);
-    const std::uint32_t g = group_index(h);
-    const BucketGroup<G>& grp = groups[g];
-    const std::uint16_t want = fingerprint_of(h);
-    for (std::uint32_t cand = Ops::match_mask(grp.fp, want); cand != 0;
-         cand &= cand - 1) {
-      const int c = std::countr_zero(cand);
-      const bool hit = grp.key[c] == r.key;
-      result.add_match_if(hit, r, rel::Tuple{grp.key[c], grp.payload[c]});
-    }
-    if (Ops::empty_mask(grp.fp) == 0) {
-      probe_walk<G, Ops>(r, h, next_group(g), result);
-    }
   }
 }
 
@@ -124,13 +102,12 @@ void PartitionHashTable::probe_groups(std::span<const rel::Tuple> r_run,
 /// of b-2), so every prefetch has a full batch of independent work to hide
 /// behind — enough to cover a memory miss for out-of-cache tables while
 /// adding only mask/index bookkeeping for cache-resident ones.
-template <int G, typename Ops>
-void PartitionHashTable::probe_groups_batched(std::span<const rel::Tuple> r_run,
-                                              JoinResult& result) const {
-  const BucketGroup<G>* groups = groups_ptr<G>();
+template <typename Ops>
+void PartitionHashTable::probe_groups(std::span<const rel::Tuple> r_run,
+                                      JoinResult& result) const {
+  const BucketGroup* groups = groups_;
   const std::size_t n = r_run.size();
-  const std::size_t batch = std::bit_floor(std::min(
-      static_cast<std::size_t>(prefetch_), detail::kMaxProbeBatch));
+  constexpr std::size_t batch = detail::kProbeBatch;
 
   struct Slot {
     std::uint32_t h;
@@ -138,7 +115,7 @@ void PartitionHashTable::probe_groups_batched(std::span<const rel::Tuple> r_run,
     std::uint32_t cand;
     std::uint32_t full;
   };
-  Slot ring[3][detail::kMaxProbeBatch];
+  Slot ring[3][batch];
 
   const std::size_t num_batches = (n + batch - 1) / batch;
   const auto bounds = [&](std::size_t b, std::size_t& lo, std::size_t& hi) {
@@ -161,7 +138,7 @@ void PartitionHashTable::probe_groups_batched(std::span<const rel::Tuple> r_run,
     bounds(b, lo, hi);
     for (std::size_t i = lo; i < hi; ++i) {
       Slot& sl = s[i - lo];
-      const BucketGroup<G>& grp = groups[sl.g];
+      const BucketGroup& grp = groups[sl.g];
       sl.cand = Ops::match_mask(grp.fp, fingerprint_of(sl.h));
       sl.full = Ops::empty_mask(grp.fp) == 0 ? 1U : 0U;
       for (std::uint32_t c = sl.cand; c != 0; c &= c - 1) {
@@ -178,14 +155,14 @@ void PartitionHashTable::probe_groups_batched(std::span<const rel::Tuple> r_run,
     for (std::size_t i = lo; i < hi; ++i) {
       const Slot& sl = s[i - lo];
       const rel::Tuple& r = r_run[i];
-      const BucketGroup<G>& grp = groups[sl.g];
+      const BucketGroup& grp = groups[sl.g];
       for (std::uint32_t c = sl.cand; c != 0; c &= c - 1) {
         const int k = std::countr_zero(c);
         const bool hit = grp.key[k] == r.key;
         result.add_match_if(hit, r, rel::Tuple{grp.key[k], grp.payload[k]});
       }
       if (sl.full) {
-        probe_walk<G, Ops>(r, sl.h, next_group(sl.g), result);
+        probe_walk<Ops>(r, sl.h, next_group(sl.g), result);
       }
     }
   };

@@ -16,7 +16,7 @@ namespace cj::join {
 
 namespace {
 
-using detail::kMaxProbeBatch;
+using detail::kBuildPrefetchDistance;
 
 inline void prefetch_write(const void* p) {
 #if defined(__GNUC__) || defined(__clang__)
@@ -48,19 +48,19 @@ constexpr int kMaxFusedFanoutBits = 10;
 /// pipeline's extra pass and bookkeeping is all cost and no latency hidden.
 constexpr std::size_t kDirectPipelineMinTableBytes = 1U << 20;
 
+constexpr int kGroupSize = PartitionHashTable::kGroupSize;
+
 /// Compact staging image of one bucket group: the fingerprint lanes plus a
 /// 16-bit index per slot naming the tuple that will occupy it (region-slice
 /// position, or carry-list position when kCarryFlag is set). One cache line
-/// per group at G = 16 — a quarter of the final group — so the random
-/// stores of an insert burst stay inside a scratch window that fits L2.
-/// The final inline-tuple table is then written strictly sequentially.
-template <int G>
+/// per group — a quarter of the final group — so the random stores of an
+/// insert burst stay inside a scratch window that fits L2. The final
+/// inline-tuple table is then written strictly sequentially.
 struct StagedGroup {
-  std::uint16_t fp[G];
-  std::uint16_t idx[G];
+  std::uint16_t fp[kGroupSize];
+  std::uint16_t idx[kGroupSize];
 };
-static_assert(sizeof(StagedGroup<16>) == 64);
-static_assert(sizeof(StagedGroup<8>) == 32);
+static_assert(sizeof(StagedGroup) == 64);
 
 /// idx tag: the slot's tuple lives in the carry list (spill from the
 /// previous region), not the region slice.
@@ -72,43 +72,24 @@ void PartitionHashTable::init_build(std::size_t rows, int radix_bits,
                                     const KernelConfig& kernel) {
   rows_ = rows;
   shift_ = radix_bits;
-  fingerprint_ = kernel.fingerprint_table;
-  prefetch_ = std::clamp(kernel.prefetch_distance, 0,
-                         static_cast<int>(kMaxProbeBatch));
-  group_size_ = kernel.group_size == 8 ? 8 : 16;
   tier_ = resolve_simd(kernel.simd);
-
-  // Reset whichever layout a previous build left behind.
   slab_.reset();
   groups_ = nullptr;
   num_groups_ = 0;
-  tuples_.clear();
-  heads_.clear();
-  next_.clear();
 }
 
 void PartitionHashTable::attach_groups(std::size_t table_bytes,
                                        std::byte* storage) {
-  if (storage != nullptr) {
-    groups_ = storage;
-    return;
+  if (storage == nullptr) {
+    slab_ = PoolBuffer(table_bytes);
+    storage = slab_.data();
   }
-  slab_ = PoolBuffer(table_bytes);
-  groups_ = slab_.data();
+  groups_ = reinterpret_cast<BucketGroup*>(storage);
 }
 
 void PartitionHashTable::build(std::span<const rel::Tuple> s_partition,
                                int radix_bits, const KernelConfig& kernel) {
-  obs::prof::ScopedProfile prof(obs::prof::current(), "hash_build",
-                                s_partition.size());
-  init_build(s_partition.size(), radix_bits, kernel);
-  if (!fingerprint_) {
-    build_chained(s_partition);
-  } else if (group_size_ == 8) {
-    build_groups<8>(s_partition, kernel, nullptr);
-  } else {
-    build_groups<16>(s_partition, kernel, nullptr);
-  }
+  build_direct(s_partition, radix_bits, kernel, nullptr);
 }
 
 void PartitionHashTable::build_direct(std::span<const rel::Tuple> s_partition,
@@ -117,12 +98,7 @@ void PartitionHashTable::build_direct(std::span<const rel::Tuple> s_partition,
   obs::prof::ScopedProfile prof(obs::prof::current(), "hash_build",
                                 s_partition.size());
   init_build(s_partition.size(), radix_bits, kernel);
-  CJ_DCHECK(fingerprint_);
-  if (group_size_ == 8) {
-    build_groups<8>(s_partition, kernel, storage);
-  } else {
-    build_groups<16>(s_partition, kernel, storage);
-  }
+  build_groups(s_partition, storage);
 }
 
 void PartitionHashTable::build_staged(std::span<const rel::Tuple> slice,
@@ -131,52 +107,25 @@ void PartitionHashTable::build_staged(std::span<const rel::Tuple> slice,
                                       std::byte* storage) {
   obs::prof::ScopedProfile prof(obs::prof::current(), "hash_build", slice.size());
   init_build(slice.size(), radix_bits, kernel);
-  CJ_DCHECK(fingerprint_);
-  const bool ok = group_size_ == 8
-                      ? build_groups_staged<8>(slice, region_offsets, storage)
-                      : build_groups_staged<16>(slice, region_offsets, storage);
-  if (!ok) {
+  if (!build_groups_staged(slice, region_offsets, storage)) {
     // Pathological region skew (≥ 2^15 tuples hashing into one region's
     // range): the 16-bit staging indices cannot span it, so rebuild this
     // partition with the direct pipelined path.
-    if (group_size_ == 8) {
-      build_groups<8>(slice, kernel, storage);
-    } else {
-      build_groups<16>(slice, kernel, storage);
-    }
+    build_groups(slice, storage);
   }
 }
 
-void PartitionHashTable::build_chained(std::span<const rel::Tuple> s_partition) {
-  tuples_.assign(s_partition.begin(), s_partition.end());
-  const std::size_t n = tuples_.size();
-
-  const std::size_t buckets = std::bit_ceil(std::max<std::size_t>(4, n));
-  mask_ = static_cast<std::uint32_t>(buckets - 1);
-  heads_.assign(buckets, -1);
-  next_.assign(n, -1);
-
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t b = bucket_index(hash_key(tuples_[i].key));
-    next_[i] = heads_[b];
-    heads_[b] = static_cast<std::int32_t>(i);
-  }
-}
-
-template <int G>
 void PartitionHashTable::build_groups(std::span<const rel::Tuple> s_partition,
-                                      const KernelConfig& kernel,
                                       std::byte* storage) {
-  (void)kernel;
   const std::size_t n = s_partition.size();
-  num_groups_ = groups_for(n, G);
+  num_groups_ = groups_for(n);
 
   // Clear only the fingerprint lanes (never value-initialize the table:
   // the zero-fill of a full value-init, 32 B/slot, was the single largest
   // cost of the old build). Keys/payloads are written exactly once, by
   // their insert; fp == 0 alone defines emptiness.
-  attach_groups(num_groups_ * sizeof(BucketGroup<G>), storage);
-  BucketGroup<G>* groups = static_cast<BucketGroup<G>*>(groups_);
+  attach_groups(num_groups_ * sizeof(BucketGroup), storage);
+  BucketGroup* groups = groups_;
   for (std::uint32_t g = 0; g < num_groups_; ++g) {
     std::memset(groups[g].fp, 0, sizeof(groups[g].fp));
   }
@@ -186,14 +135,14 @@ void PartitionHashTable::build_groups(std::span<const rel::Tuple> s_partition,
   // transient state, hot in L1 throughout the build. Inserts assign slots
   // from the counter instead of scanning fingerprints for the first zero —
   // the scan's data-dependent exit was one branch mispredict per insert.
-  // Slot order is identical (fps start zeroed, slots fill 0..G-1), so the
+  // Slot order is identical (fps start zeroed, slots fill 0..15), so the
   // layout matches a scan-built table bit for bit.
   std::vector<std::uint8_t> fill(num_groups_, 0);
   const auto insert = [&](const rel::Tuple& t, std::uint32_t h) {
     std::uint32_t g = group_index(h);
-    while (fill[g] == G) g = next_group(g);  // spill only if full
+    while (fill[g] == kGroupSize) g = next_group(g);  // spill only if full
     const int c = fill[g]++;
-    BucketGroup<G>& grp = groups[g];
+    BucketGroup& grp = groups[g];
     grp.fp[c] = fingerprint_of(h);
     grp.key[c] = t.key;
     grp.payload[c] = t.payload;
@@ -203,8 +152,7 @@ void PartitionHashTable::build_groups(std::span<const rel::Tuple> s_partition,
   // partitions for the cache budget) take the lean loop — hash inline,
   // insert, nothing else. The batched-hash + prefetch machinery below
   // only earns its bookkeeping when inserts actually miss.
-  if (num_groups_ * sizeof(BucketGroup<G>) <= kDirectPipelineMinTableBytes ||
-      prefetch_ == 0) {
+  if (num_groups_ * sizeof(BucketGroup) <= kDirectPipelineMinTableBytes) {
     for (std::size_t i = 0; i < n; ++i) {
       insert(s_partition[i], hash_key(s_partition[i].key));
     }
@@ -222,10 +170,8 @@ void PartitionHashTable::build_groups(std::span<const rel::Tuple> s_partition,
   // Pipelined build: inserts land on random groups; prefetch the group of
   // the insert k positions ahead so its (write) miss overlaps inserts
   // i..i+k-1. Builds want a much deeper pipeline than probes — a store
-  // burst per insert leaves less independent work per miss — so k runs at
-  // 4x the probe distance, up to the shared batch cap.
-  const std::size_t k =
-      std::min({static_cast<std::size_t>(4 * prefetch_), kMaxProbeBatch, n});
+  // burst per insert leaves less independent work per miss.
+  const std::size_t k = std::min(kBuildPrefetchDistance, n);
   for (std::size_t j = 0; j < k; ++j) {
     prefetch_write(groups[group_index(hashes[j])].fp);
   }
@@ -235,7 +181,6 @@ void PartitionHashTable::build_groups(std::span<const rel::Tuple> s_partition,
   }
 }
 
-template <int G>
 bool PartitionHashTable::build_groups_staged(
     std::span<const rel::Tuple> slice,
     std::span<const std::uint32_t> region_offsets, std::byte* storage) {
@@ -243,13 +188,13 @@ bool PartitionHashTable::build_groups_staged(
   const std::uint32_t nreg =
       static_cast<std::uint32_t>(region_offsets.size() - 1);
   const int rb = std::countr_zero(nreg);
-  num_groups_ = groups_for(n, G);
+  num_groups_ = groups_for(n);
   const std::uint32_t ng = num_groups_;
 
   // No fingerprint pre-clear here: the sequential finalization below
   // writes every group's full fingerprint block exactly once.
-  attach_groups(ng * sizeof(BucketGroup<G>), storage);
-  BucketGroup<G>* groups = static_cast<BucketGroup<G>*>(groups_);
+  attach_groups(ng * sizeof(BucketGroup), storage);
+  BucketGroup* groups = groups_;
 
   // Region r owns the contiguous group range [g_lo(r), g_lo(r+1)).
   // Exact because group_index is fastrange over the remixed key and the
@@ -261,7 +206,7 @@ bool PartitionHashTable::build_groups_staged(
   };
 
   const std::uint32_t max_region_groups = (ng + nreg - 1) / nreg + 1;
-  std::vector<StagedGroup<G>> scratch(max_region_groups);
+  std::vector<StagedGroup> scratch(max_region_groups);
   std::vector<std::uint8_t> fill(max_region_groups);
 
   // Spills that walked past a region's last group; they resume at the next
@@ -283,13 +228,13 @@ bool PartitionHashTable::build_groups_staged(
     if (rows >= kCarryFlag || carry_in.size() >= kCarryFlag) return false;
     const rel::Tuple* base = slice.data() + (region_offsets[r] - base_off);
 
-    std::memset(scratch.data(), 0, ngr * sizeof(StagedGroup<G>));
+    std::memset(scratch.data(), 0, ngr * sizeof(StagedGroup));
     std::fill(fill.begin(), fill.begin() + ngr, 0);
     carry_out.clear();
 
     const auto place = [&](std::uint32_t local, std::uint16_t fp,
                            std::uint16_t id, const rel::Tuple& t) {
-      while (local < ngr && fill[local] == G) ++local;
+      while (local < ngr && fill[local] == kGroupSize) ++local;
       if (local >= ngr) {
         carry_out.push_back(Carry{t, fp});
         return;
@@ -324,22 +269,22 @@ bool PartitionHashTable::build_groups_staged(
     // it is the staged path's decisive edge once the tables in aggregate
     // overflow the LLC.
 #if defined(__x86_64__) || defined(__i386__)
-    alignas(64) BucketGroup<G> image;
+    alignas(64) BucketGroup image;
 #endif
     for (std::uint32_t lg = 0; lg < ngr; ++lg) {
       if (lg + 1 < ngr) {
-        const StagedGroup<G>& nx = scratch[lg + 1];
+        const StagedGroup& nx = scratch[lg + 1];
         const int ncnt = fill[lg + 1];
         for (int c = 0; c < ncnt; ++c) {
           if (!(nx.idx[c] & kCarryFlag)) detail::prefetch_ro(&base[nx.idx[c]]);
         }
       }
 #if defined(__x86_64__) || defined(__i386__)
-      BucketGroup<G>& dst = image;
+      BucketGroup& dst = image;
 #else
-      BucketGroup<G>& dst = groups[lo + lg];
+      BucketGroup& dst = groups[lo + lg];
 #endif
-      const StagedGroup<G>& src = scratch[lg];
+      const StagedGroup& src = scratch[lg];
       std::memcpy(dst.fp, src.fp, sizeof(dst.fp));
       const int cnt = fill[lg];
       for (int c = 0; c < cnt; ++c) {
@@ -354,7 +299,7 @@ bool PartitionHashTable::build_groups_staged(
       // with the live ones — probes never read an empty slot's lanes.
       auto* out128 = reinterpret_cast<__m128i*>(&groups[lo + lg]);
       const auto* img128 = reinterpret_cast<const __m128i*>(&image);
-      for (std::size_t q = 0; q < sizeof(BucketGroup<G>) / 16; ++q) {
+      for (std::size_t q = 0; q < sizeof(BucketGroup) / 16; ++q) {
         _mm_stream_si128(out128 + q, _mm_load_si128(img128 + q));
       }
 #endif
@@ -377,10 +322,10 @@ bool PartitionHashTable::build_groups_staged(
   for (const Carry& cw : carry_in) {
     std::uint32_t g = 0;
     for (;;) {
-      BucketGroup<G>& dst = groups[g];
+      BucketGroup& dst = groups[g];
       int c = 0;
-      while (c < G && dst.fp[c] != 0) ++c;
-      if (c < G) {
+      while (c < kGroupSize && dst.fp[c] != 0) ++c;
+      if (c < kGroupSize) {
         dst.fp[c] = cw.fp;
         dst.key[c] = cw.t.key;
         dst.payload[c] = cw.t.payload;
@@ -401,11 +346,6 @@ void PartitionHashTable::probe(std::span<const rel::Tuple> r_run,
   // most one match, so this bound makes the per-match append allocation-free
   // and its capacity branch perfectly predicted.
   result.reserve_batch(r_run.size());
-  if (!fingerprint_) {
-    for (const rel::Tuple& r : r_run) probe_one_chained(r, result);
-    return;
-  }
-
   switch (tier_) {
 #if defined(__x86_64__) || defined(__i386__)
     case SimdTier::kAvx2:
@@ -420,11 +360,7 @@ void PartitionHashTable::probe(std::span<const rel::Tuple> r_run,
     default:
       break;
   }
-  if (group_size_ == 8) {
-    probe_groups<8, detail::ScalarGroupOps<8>>(r_run, result);
-  } else {
-    probe_groups<16, detail::ScalarGroupOps<16>>(r_run, result);
-  }
+  probe_groups<detail::ScalarGroupOps>(r_run, result);
 }
 
 HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
@@ -434,7 +370,7 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
   HashJoinStationary out;
   const std::size_t n = s.size();
 
-  // Fused setup for large bucket-group builds: one extended-fanout
+  // Fused setup for large builds: one extended-fanout
   // clustering pass serves as both the radix pass and the write-combining
   // stage of every table build. Clustering on rb extra top hash bits
   // splits each partition into 2^rb regions that map to contiguous group
@@ -442,12 +378,10 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
   // L2-resident scratch and writes the final tables sequentially. rb < 0
   // selects the classic two-step setup.
   int rb = -1;
-  if (kernel.fingerprint_table && kernel.cache_hashes &&
-      kernel.buffered_scatter && radix_bits >= 1 &&
-      radix_bits <= kMaxFusedFanoutBits && n <= 0xFFFFFFFFULL) {
+  if (radix_bits >= 1 && radix_bits <= kMaxFusedFanoutBits &&
+      n <= 0xFFFFFFFFULL) {
     const std::size_t table_bytes =
-        n * (PartitionHashTable::bytes_per_stationary_tuple(kernel) -
-             sizeof(rel::Tuple));
+        n * (PartitionHashTable::kBytesPerStationaryTuple - sizeof(rel::Tuple));
     // Staging pays when the tables in aggregate overflow the LLC: there
     // the direct build is bound by read-for-ownership traffic on random
     // table lines, while the staged build's strictly sequential
@@ -467,16 +401,14 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
 
   // Carves one backing range per partition table out of a single shared
   // slab (see join/page_pool.h) and returns the per-partition base pointers;
-  // the slab itself moves into out.table_slab_. Chained tables manage
-  // their own vectors — no slab.
+  // the slab itself moves into out.table_slab_.
   const auto carve_slab = [&](const PartitionedData& parts)
       -> std::vector<std::byte*> {
     const std::uint32_t num_parts = parts.num_partitions();
     std::vector<std::size_t> bytes(num_parts);
     std::size_t total = 0;
     for (std::uint32_t p = 0; p < num_parts; ++p) {
-      bytes[p] =
-          PartitionHashTable::table_bytes_for(parts.partition(p).size(), kernel);
+      bytes[p] = PartitionHashTable::table_bytes_for(parts.partition(p).size());
       total += bytes[p];
     }
     out.table_slab_ = PoolBuffer(total);
@@ -494,12 +426,6 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
         radix_cluster(s, radix_bits, config.bits_per_pass, kernel);
     const std::uint32_t num_parts = out.parts_.num_partitions();
     out.tables_.resize(num_parts);
-    if (!kernel.fingerprint_table) {
-      for (std::uint32_t p = 0; p < num_parts; ++p) {
-        out.tables_[p].build(out.parts_.partition(p), radix_bits, kernel);
-      }
-      return out;
-    }
     const std::vector<std::byte*> bases = carve_slab(out.parts_);
     for (std::uint32_t p = 0; p < num_parts; ++p) {
       out.tables_[p].build_direct(out.parts_.partition(p), radix_bits, kernel,

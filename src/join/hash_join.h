@@ -7,18 +7,12 @@
 //               (probe_partition). When the radix bits were chosen so an S
 //               partition + table fits the L2 budget, probes run from cache.
 //
-// Two table layouts live behind KernelConfig (docs/KERNELS.md):
-//
-//   bucket-group (default)  F14/Swiss-style: groups of `group_size` 16-bit
-//                           fingerprints packed contiguously next to their
-//                           inline tuples, probed with one vector compare
-//                           per group (AVX2 / NEON / scalar, resolved at
-//                           runtime via join/simd.h). The build batches
-//                           hashing ahead of any bucket touch and stages
-//                           out-of-cache inserts through the same
-//                           write-combining scatter as the radix pass.
-//   chained (legacy)        the original bucket-chained heads/next layout,
-//                           kept as the A/B baseline.
+// The tables use one layout (docs/KERNELS.md): F14/Swiss-style bucket
+// groups of 16 16-bit fingerprints packed contiguously next to their inline
+// tuples, probed with one vector compare per group (AVX2 / NEON / scalar,
+// resolved at runtime via join/simd.h). The build batches hashing ahead of
+// any bucket touch and stages out-of-cache inserts through the same
+// write-combining scatter as the radix pass.
 //
 // The join phase is embarrassingly parallel across partitions — the cyclo
 // layer schedules disjoint partition ranges on the host's (virtual) cores,
@@ -46,24 +40,21 @@ class PartitionHashTable {
  public:
   PartitionHashTable() = default;
 
-  /// Builds over the tuples of one S partition. `kernel` picks the layout,
-  /// the SIMD tier, the group size and the probe prefetch distance.
+  /// Builds over the tuples of one S partition. `kernel` picks the SIMD
+  /// tier of the probe's fingerprint compare.
   void build(std::span<const rel::Tuple> s_partition, int radix_bits,
              const KernelConfig& kernel = {});
 
   /// Probes every tuple of `r_run` (all from this partition) against the
-  /// table, emitting matches. This is the single chain/group-walk
-  /// implementation — batched, with a two-stage software-prefetch pipeline
-  /// and one vector fingerprint compare per group in the group layout.
+  /// table, emitting matches: batched, with a two-stage software-prefetch
+  /// pipeline and one vector fingerprint compare per group.
   void probe(std::span<const rel::Tuple> r_run, JoinResult& result) const;
 
   std::size_t rows() const { return rows_; }
 
   /// Memory footprint (cache-budget accounting).
   std::size_t bytes() const {
-    return tuples_.size() * sizeof(rel::Tuple) +
-           (heads_.size() + next_.size()) * sizeof(std::int32_t) +
-           static_cast<std::size_t>(num_groups_) * group_bytes();
+    return static_cast<std::size_t>(num_groups_) * sizeof(BucketGroup);
   }
 
   /// Build load factor of the bucket-group layout: kLoadNum/kLoadDen = 1/2
@@ -79,40 +70,34 @@ class PartitionHashTable {
   static constexpr std::size_t kLoadNum = 1;
   static constexpr std::size_t kLoadDen = 2;
 
-  /// Probe-phase footprint of one stationary tuple under `kernel`'s table
-  /// layout — what choose_radix_bits sizes partitions with. Derived from
-  /// the layout itself so a layout change resizes partitions automatically:
-  ///  - chained: the tuple copy plus bucket-head and chain entries;
-  ///  - bucket-group: the tuple copy the partition directory keeps plus
-  ///    kLoadDen/kLoadNum slots of sizeof(group)/group_size bytes each
-  ///    (16 B/slot at either group size ⇒ 32 B of table, 44 B total).
-  static std::size_t bytes_per_stationary_tuple(const KernelConfig& kernel) {
-    if (!kernel.fingerprint_table) return sizeof(rel::Tuple) + 12;
-    const std::size_t slot = kernel.group_size == 8
-                                 ? sizeof(BucketGroup<8>) / 8
-                                 : sizeof(BucketGroup<16>) / 16;
-    return sizeof(rel::Tuple) + slot * kLoadDen / kLoadNum;
-  }
+  /// Fingerprints per bucket group: one AVX2 compare, two NEON compares.
+  static constexpr int kGroupSize = 16;
 
  private:
-  /// One group of the bucket-group layout: G 16-bit fingerprints packed
-  /// contiguously (one vector compare covers all of them) next to the G
-  /// inline tuples they tag, in structure-of-arrays order. fp == 0 marks
-  /// an empty slot (occupied fingerprints have their top bit set); a group
-  /// with any empty slot terminates a probe's walk, because inserts only
-  /// spill to the next group when a group is completely full. alignas(64)
-  /// starts every fingerprint block on its own cache line (and pads
-  /// sizeof to 128/256 B), so a probe touches the fingerprint line plus
-  /// exactly the candidate tuple's line.
-  template <int G>
+  /// One bucket group: kGroupSize 16-bit fingerprints packed contiguously
+  /// (one vector compare covers all of them) next to the inline tuples
+  /// they tag, in structure-of-arrays order. fp == 0 marks an empty slot
+  /// (occupied fingerprints have their top bit set); a group with any
+  /// empty slot terminates a probe's walk, because inserts only spill to
+  /// the next group when a group is completely full. alignas(64) starts
+  /// every fingerprint block on its own cache line (sizeof is 256 B), so a
+  /// probe touches the fingerprint line plus exactly the candidate
+  /// tuple's line.
   struct alignas(64) BucketGroup {
-    std::uint16_t fp[G];
-    std::uint32_t key[G];
-    std::uint64_t payload[G];
+    std::uint16_t fp[kGroupSize];
+    std::uint32_t key[kGroupSize];
+    std::uint64_t payload[kGroupSize];
   };
-  static_assert(sizeof(BucketGroup<8>) == 128);
-  static_assert(sizeof(BucketGroup<16>) == 256);
+  static_assert(sizeof(BucketGroup) == 256);
 
+ public:
+  /// Probe-phase footprint of one stationary tuple — what choose_radix_bits
+  /// sizes partitions with: the tuple copy the partition directory keeps
+  /// plus kLoadDen/kLoadNum slots of 16 B each (32 B of table, 44 B total).
+  static constexpr std::size_t kBytesPerStationaryTuple =
+      sizeof(rel::Tuple) + sizeof(BucketGroup) / kGroupSize * kLoadDen / kLoadNum;
+
+ private:
   static std::uint16_t fingerprint_of(std::uint32_t h) {
     return static_cast<std::uint16_t>(h >> 16) | 0x8000U;
   }
@@ -122,7 +107,7 @@ class PartitionHashTable {
   /// top 16 hash bits, and fastrange indexes mostly on the top bits of its
   /// input — feed it the raw hash and every tuple in a group shares (up to
   /// rounding) one fingerprint, so the vector compare flags all occupied
-  /// slots and each probe key-checks ~G candidates instead of ~1 (measured
+  /// slots and each probe key-checks ~16 candidates instead of ~1 (measured
   /// 2x probe slowdown). The remix decorrelates group index from
   /// fingerprint while staying a bijection on the usable bits.
   static constexpr std::uint32_t kGroupMix = 0x9E3779B9U;
@@ -138,7 +123,7 @@ class PartitionHashTable {
   /// Home group of hash `h`: fastrange (Lemire) over the remixed high hash
   /// bits (the low bits are constant within a radix partition). Maps the
   /// 32-shift_ usable bits onto [0, num_groups_) with a multiply and a
-  /// shift, so num_groups_ can be ceil(n/(load·G)) exactly instead of the
+  /// shift, so num_groups_ can be ceil(n/(load·16)) exactly instead of the
   /// next power of two — the table never over-allocates by up to 2x.
   std::uint32_t group_index(std::uint32_t h) const {
     const std::uint64_t x = remix(h, shift_);
@@ -151,50 +136,24 @@ class PartitionHashTable {
     return g + 1 == num_groups_ ? 0 : g + 1;
   }
 
-  std::uint32_t bucket_index(std::uint32_t h) const {  // chained layout
-    return (h >> shift_) & mask_;
-  }
-
-  template <int G>
-  const BucketGroup<G>* groups_ptr() const {
-    return static_cast<const BucketGroup<G>*>(groups_);
-  }
-
-  std::size_t group_bytes() const {
-    return group_size_ == 8 ? sizeof(BucketGroup<8>) : sizeof(BucketGroup<16>);
-  }
-
- public:
-  /// Exact group-table bytes a build over `rows` tuples will use under
-  /// `kernel` — what HashJoinStationary sizes its shared table slab with.
-  static std::size_t table_bytes_for(std::size_t rows,
-                                     const KernelConfig& kernel) {
-    return kernel.group_size == 8
-               ? groups_for(rows, 8) * sizeof(BucketGroup<8>)
-               : groups_for(rows, 16) * sizeof(BucketGroup<16>);
-  }
-
- private:
-
-  void probe_one_chained(const rel::Tuple& r, JoinResult& result) const {
-    const std::uint32_t b = bucket_index(hash_key(r.key));
-    for (std::int32_t i = heads_[b]; i >= 0; i = next_[static_cast<std::size_t>(i)]) {
-      const rel::Tuple& s = tuples_[static_cast<std::size_t>(i)];
-      if (s.key == r.key) result.add_match(r, s);
-    }
+  /// Exact group-table bytes a build over `rows` tuples will use — what
+  /// HashJoinStationary sizes its shared table slab with.
+  static std::size_t table_bytes_for(std::size_t rows) {
+    return groups_for(rows) * sizeof(BucketGroup);
   }
 
   friend class HashJoinStationary;
 
-  /// Shared build prologue: records the layout knobs and resets whichever
-  /// layout a previous build left behind.
+  /// Shared build prologue: records the radix shift and SIMD tier and
+  /// drops whatever a previous build left behind.
   void init_build(std::size_t rows, int radix_bits, const KernelConfig& kernel);
 
   /// Group count for `n` tuples at the build load factor (at least 1, so
   /// group_index is always valid and walks always terminate: at 50% load
   /// the table keeps ≥ n spare slots).
-  static std::uint32_t groups_for(std::size_t n, int g) {
-    const std::uint64_t ng = (n * kLoadDen + kLoadNum * g - 1) / (kLoadNum * g);
+  static std::uint32_t groups_for(std::size_t n) {
+    constexpr std::uint64_t per_group = kLoadNum * kGroupSize;
+    const std::uint64_t ng = (n * kLoadDen + per_group - 1) / per_group;
     return static_cast<std::uint32_t>(std::max<std::uint64_t>(1, ng));
   }
 
@@ -203,10 +162,9 @@ class PartitionHashTable {
   /// freshly allocated slab of its own (huge-page backed when large).
   void attach_groups(std::size_t table_bytes, std::byte* storage);
 
-  void build_chained(std::span<const rel::Tuple> s_partition);
-  template <int G>
+  /// Direct build into `storage` (or the table's own slab when null).
   void build_groups(std::span<const rel::Tuple> s_partition,
-                    const KernelConfig& kernel, std::byte* storage);
+                    std::byte* storage);
 
   /// Staged bucket-group build over a partition slice that was clustered
   /// into `region_offsets.size()-1` (a power of two) equal hash ranges on
@@ -217,29 +175,25 @@ class PartitionHashTable {
   /// The 16-bit staging indices require every region to hold < 2^15 tuples;
   /// build_groups_staged reports false on (pathological) skew beyond that
   /// and build_staged falls back to the direct build.
-  /// build() with caller-carved group storage (fingerprint layout only).
-  void build_direct(std::span<const rel::Tuple> s_partition, int radix_bits,
-                    const KernelConfig& kernel, std::byte* storage);
-
   void build_staged(std::span<const rel::Tuple> slice,
                     std::span<const std::uint32_t> region_offsets,
                     int radix_bits, const KernelConfig& kernel,
                     std::byte* storage);
-  template <int G>
   bool build_groups_staged(std::span<const rel::Tuple> slice,
                            std::span<const std::uint32_t> region_offsets,
                            std::byte* storage);
+
+  /// build() into caller-carved group storage (own slab when null).
+  void build_direct(std::span<const rel::Tuple> s_partition, int radix_bits,
+                    const KernelConfig& kernel, std::byte* storage);
 
   // Group-probe kernels, templated on the fingerprint-compare policy of
   // each SIMD tier; definitions live in join/hash_group_impl.h and are
   // instantiated by hash_join.cpp (scalar) and the per-ISA translation
   // units (kernels_avx2.cpp / kernels_neon.cpp).
-  template <int G, typename Ops>
+  template <typename Ops>
   void probe_groups(std::span<const rel::Tuple> r_run, JoinResult& result) const;
-  template <int G, typename Ops>
-  void probe_groups_batched(std::span<const rel::Tuple> r_run,
-                            JoinResult& result) const;
-  template <int G, typename Ops>
+  template <typename Ops>
   void probe_walk(const rel::Tuple& r, std::uint32_t h, std::uint32_t g,
                   JoinResult& result) const;
 
@@ -252,26 +206,16 @@ class PartitionHashTable {
                            JoinResult& result) const;
 #endif
 
-  // Bucket-group layout. groups_ is the active BucketGroup<group_size_>
-  // array — slab_'s storage when this table allocated for itself, or a
+  // groups_ is slab_'s storage when this table allocated for itself, or a
   // range carved from HashJoinStationary's shared slab (which then owns
   // the bytes and outlives the table).
   PoolBuffer slab_;
-  void* groups_ = nullptr;
+  BucketGroup* groups_ = nullptr;
   std::uint32_t num_groups_ = 0;
-  int group_size_ = 16;
   SimdTier tier_ = SimdTier::kScalar;
 
-  // Chained (legacy) layout.
-  std::vector<rel::Tuple> tuples_;
-  std::vector<std::int32_t> heads_;
-  std::vector<std::int32_t> next_;
-
   std::size_t rows_ = 0;
-  std::uint32_t mask_ = 0;
   int shift_ = 0;
-  bool fingerprint_ = true;
-  int prefetch_ = 0;
 };
 
 /// Baseline: a single hash table over the whole fragment, no radix
@@ -304,7 +248,7 @@ class SingleTableHashJoin {
 class HashJoinStationary {
  public:
   /// Clusters `s` into 2^radix_bits partitions and builds the tables.
-  /// config.kernel selects the clustering and table kernels.
+  /// config.kernel selects the tables' SIMD tier.
   static HashJoinStationary build(std::span<const rel::Tuple> s, int radix_bits,
                                   const RadixConfig& config = {});
 
@@ -313,7 +257,7 @@ class HashJoinStationary {
   std::size_t rows() const { return parts_.rows(); }
 
   /// Probes a whole run of R tuples that all belong to radix partition `p`
-  /// in one batch (prefetch-pipelined in the bucket-group layout).
+  /// in one prefetch-pipelined batch.
   void probe_partition(std::uint32_t p, std::span<const rel::Tuple> r_run,
                        JoinResult& result) const {
     tables_[p].probe(r_run, result);

@@ -1,12 +1,11 @@
-// Cache-consciousness knobs for the join kernels.
+// Kernel selection for the join kernels.
 //
 // The measured CPU time of these kernels *is* the virtual duration of every
 // simulated task (DESIGN.md: "virtual time, real work"), so kernel speed
 // shapes both the reproduced figures and the real wall-clock of the whole
-// bench/test suite. Every optimization is individually switchable so the
-// legacy and optimized paths stay A/B-comparable — bench/micro_kernels
-// measures each pair, and the checksum-parity tests in tests/join_test.cpp
-// hold them to identical results. See docs/KERNELS.md.
+// bench/test suite. The kernels are the cache-conscious ones of
+// docs/KERNELS.md; the only choice left to callers is the vector tier,
+// because which tiers exist depends on the platform.
 #pragma once
 
 namespace cj::join {
@@ -17,7 +16,7 @@ namespace cj::join {
 /// kAuto picks the best available tier; forcing a tier the machine lacks
 /// falls back to the portable scalar path. The CJ_SIMD environment
 /// variable ("scalar" | "neon" | "avx2") caps detection process-wide —
-/// CI's scalar-fallback job runs the whole suite under CJ_SIMD=scalar.
+/// CI's scalar-fallback job runs the kernel suites under CJ_SIMD=scalar.
 enum class Simd {
   kAuto = 0,
   kScalar,
@@ -26,53 +25,9 @@ enum class Simd {
 };
 
 struct KernelConfig {
-  /// Compute hash_key once per tuple and carry the values in a side array
-  /// across clustering passes, instead of rehashing in both the count and
-  /// scatter loops of every pass.
-  bool cache_hashes = true;
-
-  /// Software-managed scatter: stage tuples in cache-line-sized per-partition
-  /// buffers and flush them in bulk (Manegold, Boncz & Kersten), so a
-  /// high-fan-out pass keeps a handful of store streams hot instead of one
-  /// per partition. Only engages at fan-outs where it pays (see radix.cpp).
-  /// The hash-table build reuses the same staging machinery to cluster
-  /// inserts into cache-sized table regions before touching any bucket.
-  bool buffered_scatter = true;
-
-  /// Replace the bucket-chained heads/next hash-table layout with the
-  /// bucket-group layout: groups of `group_size` contiguous 16-bit
-  /// fingerprints packed next to their inline tuples, probed with one
-  /// vector compare per group (docs/KERNELS.md).
-  bool fingerprint_table = true;
-
-  /// Look-ahead of the probe/build pipelines: hash and software-prefetch
-  /// the bucket group of the tuple `prefetch_distance` positions ahead
-  /// while processing the current one (0 disables the batched pipeline;
-  /// rounded down to a power of two, capped at 64). Bucket-group paths
-  /// only. 16 gives an out-of-L2 probe enough in-flight lines to cover
-  /// L3/DRAM latency without evicting its own useful prefetches
-  /// (bench/micro_kernels).
-  int prefetch_distance = 16;
-
   /// Vector tier for the fingerprint-group compare and the merge-join key
   /// compares. kAuto resolves to the best tier the CPU supports.
   Simd simd = Simd::kAuto;
-
-  /// Fingerprints per bucket group: 16 (one AVX2 compare, two NEON
-  /// compares) or 8 (one SSE2/NEON compare). Anything else is clamped to
-  /// 16. Probe cost per group is one vector compare either way; 16 keeps
-  /// collision spill across groups rarer.
-  int group_size = 16;
-
-  /// The pre-optimization kernels, kept as the A/B baseline. Scalar key
-  /// compares everywhere — the legacy kernels predate the SIMD tiers.
-  static constexpr KernelConfig legacy() {
-    return KernelConfig{.cache_hashes = false,
-                        .buffered_scatter = false,
-                        .fingerprint_table = false,
-                        .prefetch_distance = 0,
-                        .simd = Simd::kScalar};
-  }
 };
 
 }  // namespace cj::join

@@ -26,9 +26,9 @@ inline std::uint32_t mask16_of(__m256i eq) {
   return (m & 0xFFU) | ((m >> 8) & 0xFF00U);
 }
 
-/// 16-slot groups: the whole fingerprint array is one aligned 256-bit
-/// load (alignas(64) on BucketGroup) and one vector compare.
-struct Avx2Ops16 {
+/// The whole 16-slot fingerprint array is one aligned 256-bit load
+/// (alignas(64) on BucketGroup) and one vector compare.
+struct Avx2Ops {
   static std::uint32_t match_mask(const std::uint16_t* fp, std::uint16_t want) {
     const __m256i v = _mm256_load_si256(reinterpret_cast<const __m256i*>(fp));
     return mask16_of(
@@ -37,24 +37,6 @@ struct Avx2Ops16 {
   static std::uint32_t empty_mask(const std::uint16_t* fp) {
     const __m256i v = _mm256_load_si256(reinterpret_cast<const __m256i*>(fp));
     return mask16_of(_mm256_cmpeq_epi16(v, _mm256_setzero_si256()));
-  }
-};
-
-inline std::uint32_t mask8_of(__m128i eq) {
-  const __m128i packed = _mm_packs_epi16(eq, _mm_setzero_si128());
-  return static_cast<std::uint32_t>(_mm_movemask_epi8(packed)) & 0xFFU;
-}
-
-/// 8-slot groups: one 128-bit compare covers the fingerprint array.
-struct Avx2Ops8 {
-  static std::uint32_t match_mask(const std::uint16_t* fp, std::uint16_t want) {
-    const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(fp));
-    return mask8_of(
-        _mm_cmpeq_epi16(v, _mm_set1_epi16(static_cast<short>(want))));
-  }
-  static std::uint32_t empty_mask(const std::uint16_t* fp) {
-    const __m128i v = _mm_load_si128(reinterpret_cast<const __m128i*>(fp));
-    return mask8_of(_mm_cmpeq_epi16(v, _mm_setzero_si128()));
   }
 };
 
@@ -69,11 +51,7 @@ inline __m256i gather_keys8(const rel::Tuple* t, std::size_t i) {
 
 void PartitionHashTable::probe_dispatch_avx2(std::span<const rel::Tuple> r_run,
                                              JoinResult& result) const {
-  if (group_size_ == 8) {
-    probe_groups<8, Avx2Ops8>(r_run, result);
-  } else {
-    probe_groups<16, Avx2Ops16>(r_run, result);
-  }
+  probe_groups<Avx2Ops>(r_run, result);
 }
 
 namespace detail {

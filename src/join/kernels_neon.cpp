@@ -22,16 +22,8 @@ inline std::uint32_t mask8_of(uint16x8_t eq) {
   return vaddv_u8(vand_u8(narrowed, bits));
 }
 
-struct NeonOps8 {
-  static std::uint32_t match_mask(const std::uint16_t* fp, std::uint16_t want) {
-    return mask8_of(vceqq_u16(vld1q_u16(fp), vdupq_n_u16(want)));
-  }
-  static std::uint32_t empty_mask(const std::uint16_t* fp) {
-    return mask8_of(vceqq_u16(vld1q_u16(fp), vdupq_n_u16(0)));
-  }
-};
-
-struct NeonOps16 {
+/// The 16-slot fingerprint array takes two 128-bit compares.
+struct NeonOps {
   static std::uint32_t match_mask(const std::uint16_t* fp, std::uint16_t want) {
     const uint16x8_t w = vdupq_n_u16(want);
     return mask8_of(vceqq_u16(vld1q_u16(fp), w)) |
@@ -60,11 +52,7 @@ inline std::uint64_t lanemask4_of(uint32x4_t cmp) {
 
 void PartitionHashTable::probe_dispatch_neon(std::span<const rel::Tuple> r_run,
                                              JoinResult& result) const {
-  if (group_size_ == 8) {
-    probe_groups<8, NeonOps8>(r_run, result);
-  } else {
-    probe_groups<16, NeonOps16>(r_run, result);
-  }
+  probe_groups<NeonOps>(r_run, result);
 }
 
 namespace detail {

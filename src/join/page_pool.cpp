@@ -129,7 +129,14 @@ PoolBuffer::PoolBuffer(std::size_t bytes) : bytes_(bytes) {
       return;
     }
   }
-  p_ = static_cast<std::byte*>(::operator new(bytes_, std::align_val_t{64}));
+  // Plain new plus manual alignment, not the aligned operator new: glibc's
+  // memalign carves its block out of a larger request, so the exact-size
+  // chunk a released buffer leaves behind never serves the next buffer of
+  // the same size. A loop that re-allocates one buffer then grows the heap
+  // and first-touches fresh pages on every pass.
+  constexpr std::size_t kAlign = 64;
+  heap_ = static_cast<std::byte*>(::operator new(bytes_ + kAlign));
+  p_ = heap_ + (-reinterpret_cast<std::uintptr_t>(heap_) & (kAlign - 1));
 }
 
 void PoolBuffer::reset() {
@@ -137,9 +144,10 @@ void PoolBuffer::reset() {
   if (mapped_ != 0) {
     PagePool::process().release(PagePool::Block{p_, mapped_});
   } else {
-    ::operator delete(p_, std::align_val_t{64});
+    ::operator delete(heap_);
   }
   p_ = nullptr;
+  heap_ = nullptr;
   bytes_ = 0;
   mapped_ = 0;
 }

@@ -127,11 +127,13 @@ class PoolBuffer {
  private:
   void swap(PoolBuffer& other) noexcept {
     std::swap(p_, other.p_);
+    std::swap(heap_, other.heap_);
     std::swap(bytes_, other.bytes_);
     std::swap(mapped_, other.mapped_);
   }
 
   std::byte* p_ = nullptr;
+  std::byte* heap_ = nullptr;  ///< start of the heap block p_ lies in
   std::size_t bytes_ = 0;
   std::size_t mapped_ = 0;  ///< nonzero iff a PagePool block
 };

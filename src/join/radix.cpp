@@ -13,11 +13,10 @@ namespace cj::join {
 
 int choose_radix_bits(std::size_t s_rows, const RadixConfig& config) {
   CJ_CHECK(config.cache_budget_bytes > 0);
-  // Per-tuple probe-phase footprint of one S partition, derived from the
-  // active table layout (group geometry and load factor live with the
-  // table, not here) — a layout change resizes partitions automatically.
-  const std::size_t bytes_per_tuple =
-      PartitionHashTable::bytes_per_stationary_tuple(config.kernel);
+  // Per-tuple probe-phase footprint of one S partition. Group geometry and
+  // load factor live with the table, not here, so a layout change resizes
+  // partitions automatically.
+  const std::size_t bytes_per_tuple = PartitionHashTable::kBytesPerStationaryTuple;
   int bits = 0;
   while (bits < config.max_bits) {
     const std::size_t rows_per_part = s_rows >> bits;
@@ -42,79 +41,16 @@ using detail::kMinBufferedFanout;
 using detail::kStageCap;
 using detail::scatter_range;
 
-/// The pre-optimization clustering kernel (KernelConfig::legacy()):
-/// rehashes in both the count and the scatter loop of every pass and
-/// scatters tuples directly to their destinations.
-PartitionedData cluster_legacy(std::span<const rel::Tuple> input, int total_bits,
-                               int bits_per_pass) {
-  const std::size_t n = input.size();
-  PoolArray<rel::Tuple> cur(input);
-  PoolArray<rel::Tuple> next(n);
-
-  // Cluster on slices of the partition id from the most-significant slice
-  // down, so the final memory order is ascending by partition id.
-  const std::uint32_t id_mask = (1U << total_bits) - 1;
-  std::vector<std::uint32_t> boundaries = {0, static_cast<std::uint32_t>(n)};
-  int consumed = 0;
-
-  std::vector<std::uint32_t> counts;
-  std::vector<std::uint32_t> cursor;
-  while (consumed < total_bits) {
-    obs::prof::ScopedProfile pass_prof(
-        obs::prof::current(), consumed == 0 ? "radix_pass1" : "radix_pass2", n);
-    const int b = std::min(bits_per_pass, total_bits - consumed);
-    const int slice_shift = total_bits - consumed - b;
-    const std::uint32_t slice_mask = (1U << b) - 1;
-    const std::uint32_t fanout = 1U << b;
-
-    std::vector<std::uint32_t> new_boundaries;
-    new_boundaries.reserve((boundaries.size() - 1) * fanout + 1);
-    new_boundaries.push_back(0);
-
-    counts.resize(fanout);
-    cursor.resize(fanout);
-    for (std::size_t r = 0; r + 1 < boundaries.size(); ++r) {
-      const std::uint32_t begin = boundaries[r];
-      const std::uint32_t end = boundaries[r + 1];
-
-      std::fill(counts.begin(), counts.end(), 0);
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const std::uint32_t slice =
-            ((hash_key(cur[i].key) & id_mask) >> slice_shift) & slice_mask;
-        ++counts[slice];
-      }
-      // Exclusive prefix sum → write cursors within [begin, end).
-      std::uint32_t acc = begin;
-      for (std::uint32_t s = 0; s < fanout; ++s) {
-        cursor[s] = acc;
-        acc += counts[s];
-        new_boundaries.push_back(acc);
-      }
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const std::uint32_t slice =
-            ((hash_key(cur[i].key) & id_mask) >> slice_shift) & slice_mask;
-        next[cursor[slice]++] = cur[i];
-      }
-    }
-
-    std::swap(cur, next);
-    boundaries = std::move(new_boundaries);
-    consumed += b;
-  }
-
-  return PartitionedData(std::move(cur), std::move(boundaries), total_bits);
-}
-
 /// The cache-conscious kernel. The first pass hashes each key exactly once
 /// (into a transient side array used by its own scatter); if more passes
 /// follow, the scatter materializes HashedTuples so no later pass ever
 /// rehashes, and the final pass strips the hashes while scattering bare
 /// tuples into the output. A single-pass clustering therefore never pays
-/// for the 16-byte representation at all. With `buffered`, every scatter
-/// stages kStageCap entries per destination and flushes them in bulk.
+/// for the 16-byte representation at all. Every scatter with fan-out of at
+/// least kMinBufferedFanout stages kStageCap entries per destination and
+/// flushes them in bulk.
 PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
-                                    int total_bits, int bits_per_pass,
-                                    bool buffered) {
+                                    int total_bits, int bits_per_pass) {
   const std::size_t n = input.size();
   const std::uint32_t id_mask = (1U << total_bits) - 1;
   PoolArray<rel::Tuple> out(n);
@@ -132,7 +68,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
   const int shift1 = total_bits - b1;
   const std::uint32_t fanout1 = 1U << b1;
   const bool only_pass = b1 == total_bits;
-  const bool staged1 = buffered && fanout1 >= kMinBufferedFanout;
+  const bool staged1 = fanout1 >= kMinBufferedFanout;
 
   PoolArray<std::uint32_t> hashes(n);
   counts.assign(fanout1, 0);
@@ -189,7 +125,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
 
     counts.resize(fanout);
     cursor.resize(fanout);
-    const bool staged = buffered && fanout >= kMinBufferedFanout;
+    const bool staged = fanout >= kMinBufferedFanout;
     if (staged) {
       fill.assign(fanout, 0);
       if (last_pass) {
@@ -239,7 +175,7 @@ PartitionedData cluster_single_hash(std::span<const rel::Tuple> input,
 }  // namespace
 
 PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
-                              int bits_per_pass, const KernelConfig& kernel) {
+                              int bits_per_pass, const KernelConfig& /*kernel*/) {
   CJ_CHECK(total_bits >= 0 && total_bits <= 24);
   CJ_CHECK(bits_per_pass >= 1);
   const std::size_t n = input.size();
@@ -249,14 +185,7 @@ PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
                            {0, static_cast<std::uint32_t>(n)}, 0);
   }
   CJ_CHECK_MSG(n <= 0xFFFFFFFFULL, "32-bit partition directory limits fragments to 4G rows");
-
-  if (kernel.cache_hashes) {
-    return cluster_single_hash(input, total_bits, bits_per_pass,
-                               kernel.buffered_scatter);
-  }
-  // buffered_scatter rides the HashedTuple representation (the staging
-  // entries carry the hash), so without cache_hashes it has no effect.
-  return cluster_legacy(input, total_bits, bits_per_pass);
+  return cluster_single_hash(input, total_bits, bits_per_pass);
 }
 
 }  // namespace cj::join

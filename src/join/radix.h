@@ -28,7 +28,7 @@ struct RadixConfig {
   int bits_per_pass = 8;
   /// Hard cap on total radix bits (2^16 partitions is plenty).
   int max_bits = 16;
-  /// Cache-consciousness knobs of the kernels themselves (docs/KERNELS.md).
+  /// Vector tier of the kernels themselves (docs/KERNELS.md).
   KernelConfig kernel;
 };
 
@@ -50,8 +50,7 @@ inline std::uint32_t partition_of(std::uint32_t key, int bits) {
 }
 
 /// Picks the number of radix bits so an even share of `s_rows` per
-/// partition (plus hash-table overhead, whose per-tuple footprint depends
-/// on config.kernel's table layout) fits the cache budget.
+/// partition (plus its hash-table overhead) fits the cache budget.
 int choose_radix_bits(std::size_t s_rows, const RadixConfig& config);
 
 /// Tuples clustered into 2^bits partitions, with a partition directory.
@@ -88,12 +87,11 @@ class PartitionedData {
 
 /// Multi-pass radix clustering of `input` into 2^total_bits partitions.
 /// Each pass has fan-out at most 2^bits_per_pass. O(passes * n) time,
-/// 2n tuples of transient memory, all of it page-pool storage. `kernel`
-/// selects between the legacy kernels (rehash per loop, direct scatter)
-/// and the cache-conscious ones (hash side array, software-buffered
-/// scatter) — identical output partition directory either way; tuple order
-/// *within* a partition may differ between kernel configurations, like it
-/// does between pass shapes.
+/// 2n tuples of transient memory, all of it page-pool storage. Each key is
+/// hashed once and the hash carried across passes; high-fan-out passes use
+/// the software-buffered scatter (docs/KERNELS.md). Tuple order *within* a
+/// partition may differ between pass shapes. `kernel` is accepted for
+/// symmetry with the other setup calls; clustering has no SIMD tier.
 PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
                               int bits_per_pass, const KernelConfig& kernel = {});
 

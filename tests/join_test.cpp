@@ -11,6 +11,10 @@
 #include <thread>
 #include <vector>
 
+#if defined(__GLIBC__)
+#include <sys/resource.h>
+#endif
+
 #include "join/hash_join.h"
 #include "join/local_join.h"
 #include "join/nested_loops.h"
@@ -33,30 +37,17 @@ rel::Relation gen(std::uint64_t rows, std::uint64_t domain, std::uint64_t seed,
 // ----------------------------------------------------------------- radix
 
 TEST(Radix, ChooseBitsFitsCacheBudget) {
-  // The footprint per S tuple is derived from the active table layout
-  // (PartitionHashTable::bytes_per_stationary_tuple), so size the budget
+  // The footprint per S tuple is derived from the table layout
+  // (PartitionHashTable::kBytesPerStationaryTuple), so size the budget
   // from the same source instead of hard-coding layout constants: a budget
   // of exactly 1024 tuples must split 1000 tuples into one partition,
   // 2000 into two, and so on.
   RadixConfig config;
-  const std::size_t group_bpt =
-      PartitionHashTable::bytes_per_stationary_tuple(config.kernel);
-  config.cache_budget_bytes = group_bpt * 1024;
+  config.cache_budget_bytes = PartitionHashTable::kBytesPerStationaryTuple * 1024;
   EXPECT_EQ(choose_radix_bits(1000, config), 0);
   EXPECT_EQ(choose_radix_bits(2000, config), 1);
   EXPECT_EQ(choose_radix_bits(4000, config), 2);
   EXPECT_EQ(choose_radix_bits(1 << 20, config), 10);
-
-  RadixConfig legacy;
-  legacy.kernel = KernelConfig::legacy();
-  const std::size_t legacy_bpt =
-      PartitionHashTable::bytes_per_stationary_tuple(legacy.kernel);
-  EXPECT_LT(legacy_bpt, group_bpt);  // chained layout is denser per tuple
-  legacy.cache_budget_bytes = legacy_bpt * 1024;
-  EXPECT_EQ(choose_radix_bits(1000, legacy), 0);
-  EXPECT_EQ(choose_radix_bits(2000, legacy), 1);
-  EXPECT_EQ(choose_radix_bits(4000, legacy), 2);
-  EXPECT_EQ(choose_radix_bits(1 << 20, legacy), 10);
 }
 
 TEST(Radix, ChooseBitsRespectsMaxBits) {
@@ -371,20 +362,20 @@ TEST(JoinResult, ChecksumIsOrderIndependentButPairingSensitive) {
 
 // ------------------------------------------------- kernel checksum parity
 //
-// The cache-conscious kernels (docs/KERNELS.md) must be bit-identical in
-// *result* to the legacy kernels and the nested-loops oracle — the
+// The hash join kernels (docs/KERNELS.md) must be bit-identical in *result*
+// to an independent reference — the nested-loops oracle at small sizes,
+// sort-merge where the oracle's quadratic cost rules it out. The
 // order-independent checksum catches any dropped, duplicated or miscrossed
-// match. Swept over skew, radix-bit settings (including 0 = no clustering)
-// and pass shapes.
+// match. Swept over skew and radix-bit settings (including 0 = no
+// clustering).
 
 JoinResult hash_join_with(std::span<const rel::Tuple> r,
                           std::span<const rel::Tuple> s, int bits,
-                          const KernelConfig& kernel, int bits_per_pass = 8) {
+                          const KernelConfig& kernel = {}) {
   RadixConfig config;
   config.kernel = kernel;
-  config.bits_per_pass = bits_per_pass;
   const auto stationary = HashJoinStationary::build(s, bits, config);
-  const auto r_parts = radix_cluster(r, bits, bits_per_pass, kernel);
+  const auto r_parts = radix_cluster(r, bits, config.bits_per_pass, kernel);
   JoinResult result;
   for (std::uint32_t p = 0; p < r_parts.num_partitions(); ++p) {
     stationary.probe_partition(p, r_parts.partition(p), result);
@@ -406,12 +397,8 @@ TEST_P(KernelParity, OptimizedLegacyAndOracleAgreeOnEqui) {
 
   JoinResult oracle;
   nested_loops_equi_join(r.tuples(), s.tuples(), oracle);
-  const auto legacy =
-      hash_join_with(r.tuples(), s.tuples(), bits, KernelConfig::legacy());
-  const auto optimized = hash_join_with(r.tuples(), s.tuples(), bits, {});
+  const auto optimized = hash_join_with(r.tuples(), s.tuples(), bits);
 
-  EXPECT_EQ(legacy.matches(), oracle.matches());
-  EXPECT_EQ(legacy.checksum(), oracle.checksum());
   EXPECT_EQ(optimized.matches(), oracle.matches());
   EXPECT_EQ(optimized.checksum(), oracle.checksum());
 }
@@ -441,67 +428,16 @@ INSTANTIATE_TEST_SUITE_P(
                       KernelParityCase{1.0, 4}, KernelParityCase{1.0, 9},
                       KernelParityCase{1.25, 0}, KernelParityCase{1.25, 6}));
 
-TEST(KernelParity, EveryKnobCombinationAgrees) {
-  auto r = gen(5'000, 1'500, 35, 0.8);
-  auto s = gen(5'000, 1'500, 36, 0.8);
-  JoinResult oracle;
-  nested_loops_equi_join(r.tuples(), s.tuples(), oracle);
-
-  for (const bool cache_hashes : {false, true}) {
-    for (const bool buffered : {false, true}) {
-      for (const bool fingerprint : {false, true}) {
-        for (const int prefetch : {0, 1, 8, 64, 1'000}) {  // 1000 → clamped
-          const KernelConfig kernel{.cache_hashes = cache_hashes,
-                                    .buffered_scatter = buffered,
-                                    .fingerprint_table = fingerprint,
-                                    .prefetch_distance = prefetch};
-          const auto got = hash_join_with(r.tuples(), s.tuples(), 5, kernel);
-          EXPECT_EQ(got.matches(), oracle.matches());
-          EXPECT_EQ(got.checksum(), oracle.checksum());
-        }
-      }
-    }
-  }
-}
-
-TEST(KernelParity, ClusteringKernelsProduceTheSameDirectory) {
-  auto r = gen(40'000, 9'000, 37, 0.6);
-  for (const auto& [bits, per_pass] : {std::pair{5, 8}, std::pair{10, 8},
-                                       std::pair{12, 5}, std::pair{8, 3}}) {
-    const auto legacy =
-        radix_cluster(r.tuples(), bits, per_pass, KernelConfig::legacy());
-    const auto fast = radix_cluster(r.tuples(), bits, per_pass, {});
-    ASSERT_EQ(legacy.offsets().size(), fast.offsets().size());
-    for (std::size_t i = 0; i < legacy.offsets().size(); ++i) {
-      EXPECT_EQ(legacy.offsets()[i], fast.offsets()[i]);
-    }
-    for (std::uint32_t p = 0; p < legacy.num_partitions(); ++p) {
-      std::multiset<std::uint64_t> a, b;
-      for (const auto& t : legacy.partition(p)) a.insert(std::uint64_t{t.payload});
-      for (const auto& t : fast.partition(p)) b.insert(std::uint64_t{t.payload});
-      EXPECT_EQ(a, b) << "partition " << p << " bits " << bits;
-    }
-  }
-}
-
-TEST(KernelParity, SingleTableLayoutsAgree) {
-  auto r = gen(20'000, 6'000, 38, 0.5);
-  auto s = gen(20'000, 6'000, 39, 0.5);
-  JoinResult chained, fingerprinted;
-  SingleTableHashJoin::build(s.tuples(), KernelConfig::legacy())
-      .probe(r.tuples(), chained);
-  SingleTableHashJoin::build(s.tuples()).probe(r.tuples(), fingerprinted);
-  EXPECT_EQ(chained.matches(), fingerprinted.matches());
-  EXPECT_EQ(chained.checksum(), fingerprinted.checksum());
-}
-
 // ------------------------------------------- dispatch-tier checksum parity
 //
-// The SIMD tiers (scalar/AVX2/NEON, at both group sizes) must be
-// bit-identical in result: same matches, same order-independent checksum,
-// against the nested-loops oracle. Tiers the running machine cannot
-// execute are skipped (resolve_simd would silently degrade them to scalar,
-// which the scalar cases already cover).
+// The SIMD tiers (scalar/AVX2/NEON) must be bit-identical in result: same
+// matches, same order-independent checksum, against the nested-loops
+// oracle. Each tier runs at two duplicate densities measured against the
+// fixed 16-slot bucket group: 8 build rows per key (two keys can share a
+// home group) and 16 (one key fills a whole group, so the next key that
+// hashes there must walk). Tiers the running machine cannot execute are
+// skipped (resolve_simd would silently degrade them to scalar, which the
+// scalar cases already cover).
 
 SimdTier tier_for(Simd request) {
   switch (request) {
@@ -513,25 +449,24 @@ SimdTier tier_for(Simd request) {
 
 struct TierCase {
   Simd simd;
-  int group_size;
+  int rows_per_key;  // average duplicates per key on each side
 };
 
 class DispatchTierParity : public ::testing::TestWithParam<TierCase> {};
 
 TEST_P(DispatchTierParity, EquiJoinAgreesWithOracleAcrossDistributions) {
-  const auto [simd, group] = GetParam();
+  const auto [simd, rows_per_key] = GetParam();
   if (!simd_tier_available(tier_for(simd))) {
     GTEST_SKIP() << "tier " << simd_tier_name(tier_for(simd))
                  << " not executable on this machine";
   }
-  KernelConfig kernel{};
-  kernel.simd = simd;
-  kernel.group_size = group;
+  const KernelConfig kernel{.simd = simd};
   // 4'097 rows: partitions of non-power-of-two size, so group counts and
   // fastrange region boundaries get no accidental alignment help.
+  const std::uint64_t domain = 4'097 / rows_per_key;
   for (const double zipf : {0.0, 0.5, 1.0, 1.25}) {
-    auto r = gen(4'097, 1'300, 41, zipf);
-    auto s = gen(4'097, 1'300, 42, zipf);
+    auto r = gen(4'097, domain, 41, zipf);
+    auto s = gen(4'097, domain, 42, zipf);
     JoinResult oracle;
     nested_loops_equi_join(r.tuples(), s.tuples(), oracle);
     for (const int bits : {0, 3}) {
@@ -545,16 +480,15 @@ TEST_P(DispatchTierParity, EquiJoinAgreesWithOracleAcrossDistributions) {
 }
 
 TEST_P(DispatchTierParity, BandMergeJoinAgreesWithOracle) {
-  const auto [simd, group] = GetParam();
+  const auto [simd, rows_per_key] = GetParam();
   if (!simd_tier_available(tier_for(simd))) {
     GTEST_SKIP() << "tier " << simd_tier_name(tier_for(simd))
                  << " not executable on this machine";
   }
-  KernelConfig kernel{};
-  kernel.simd = simd;
-  kernel.group_size = group;  // irrelevant to the merge scan; must be inert
-  auto r = gen(2'001, 700, 45, 0.8);
-  auto s = gen(2'001, 700, 46, 0.8);
+  const KernelConfig kernel{.simd = simd};
+  const std::uint64_t domain = 2'001 / rows_per_key;
+  auto r = gen(2'001, domain, 45, 0.8);
+  auto s = gen(2'001, domain, 46, 0.8);
   std::vector<rel::Tuple> rs(r.tuples().begin(), r.tuples().end());
   std::vector<rel::Tuple> ss(s.tuples().begin(), s.tuples().end());
   sort_fragment(rs);
@@ -569,25 +503,29 @@ TEST_P(DispatchTierParity, BandMergeJoinAgreesWithOracle) {
 }
 
 TEST_P(DispatchTierParity, AllDuplicateKeysOverflowWalk) {
-  // Every S tuple carries the same key: the home group fills, inserts walk
+  // 3'000 S tuples carry the same key: the home group fills, inserts walk
   // a long run of consecutive groups, and a probe must traverse the whole
-  // run — the overflow walk at its most adversarial.
-  const auto [simd, group] = GetParam();
+  // run — the overflow walk at its most adversarial. 64 further keys with
+  // rows_per_key copies each are inserted after the run, so those whose
+  // home group lies inside it must walk past it to insert and to probe.
+  const auto [simd, rows_per_key] = GetParam();
   if (!simd_tier_available(tier_for(simd))) {
     GTEST_SKIP() << "tier " << simd_tier_name(tier_for(simd))
                  << " not executable on this machine";
   }
-  KernelConfig kernel{};
-  kernel.simd = simd;
-  kernel.group_size = group;
+  const KernelConfig kernel{.simd = simd};
   std::vector<rel::Tuple> s;
   for (std::uint64_t i = 0; i < 3'000; ++i) s.push_back({5, i});
+  std::vector<rel::Tuple> r = {{5, 1}, {7, 2}, {9, 3}};
+  for (std::uint32_t key = 100; key < 164; ++key) {
+    for (int c = 0; c < rows_per_key; ++c) s.push_back({key, s.size()});
+    r.push_back({key, key});
+  }
   PartitionHashTable table;
   table.build(s, 0, kernel);
-  const std::vector<rel::Tuple> r = {{5, 1}, {7, 2}, {9, 3}};
   JoinResult result;
   table.probe(r, result);
-  EXPECT_EQ(result.matches(), 3'000u);
+  EXPECT_EQ(result.matches(), 3'000u + 64u * rows_per_key);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -601,18 +539,18 @@ INSTANTIATE_TEST_SUITE_P(
 // Sized past kStagedBuildMinTableBytes so HashJoinStationary::build takes
 // the fused region-staged path (radix_bits = 1 maximizes regions per
 // partition and exercises the cross-region carry). The nested-loops oracle
-// is quadratic and unusable here; the legacy chained join — itself held to
-// the oracle at small sizes above — serves as the reference.
+// is quadratic and unusable here; sort-merge — an independent production
+// algorithm, itself held to the oracle at small sizes above — serves as
+// the reference.
 
-TEST(KernelParity, StagedBuildAgreesWithLegacyAtScale) {
+TEST(KernelParity, StagedBuildAgreesWithSortMergeAtScale) {
   auto r = gen(320'000, 90'000, 43, 0.9);
   auto s = gen(320'000, 90'000, 44, 0.9);
-  const auto legacy =
-      hash_join_with(r.tuples(), s.tuples(), 1, KernelConfig::legacy());
+  const JoinResult reference = local_sort_merge_join(r.tuples(), s.tuples());
   for (const int bits : {1, 6}) {
-    const auto staged = hash_join_with(r.tuples(), s.tuples(), bits, {});
-    EXPECT_EQ(staged.matches(), legacy.matches()) << "bits " << bits;
-    EXPECT_EQ(staged.checksum(), legacy.checksum()) << "bits " << bits;
+    const auto staged = hash_join_with(r.tuples(), s.tuples(), bits);
+    EXPECT_EQ(staged.matches(), reference.matches()) << "bits " << bits;
+    EXPECT_EQ(staged.checksum(), reference.checksum()) << "bits " << bits;
   }
 }
 
@@ -638,7 +576,7 @@ TEST(KernelParity, StagedBuildSkewFallbackOnAllDuplicates) {
 }
 
 TEST(PartitionHashTable, FingerprintFindsAllDuplicates) {
-  // Heavier than the chained-layout twin above: one key's duplicates spill
+  // Heavier than FindsAllDuplicates above: one key's duplicates spill
   // across several collision-cluster steps.
   std::vector<rel::Tuple> s;
   for (std::uint64_t i = 0; i < 40; ++i) s.push_back({5, i});
@@ -793,6 +731,35 @@ TEST(PagePool, RetainedBytesStayBoundedAsBlockSizesShift) {
   // The shifts forced evictions: more was mapped than is retained.
   EXPECT_GT(st.fresh_bytes, st.parked_bytes);
 }
+
+// The check is on glibc's allocator, which ASan and TSan replace.
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+// Below one huge page a PoolBuffer is a heap block. A loop that allocates
+// one such buffer per pass, with a small allocation made while it is live
+// (as a radix pass makes its partition directory), must get the freed
+// block back instead of growing the heap and first-touching fresh pages
+// every pass. glibc's memalign does not reuse an exactly sized free chunk,
+// which is why PoolBuffer aligns a plain heap block itself.
+TEST(PagePool, SmallBufferReusesTheHeapBlockOfTheLastPass) {
+  const auto minor_faults = [] {
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    return usage.ru_minflt;
+  };
+  constexpr std::size_t kBytes = 768 << 10;
+  long faults_after_warmup = 0;
+  for (int pass = 0; pass < 8; ++pass) {
+    const long before = minor_faults();
+    PoolBuffer buf(kBytes);
+    const std::vector<std::uint32_t> directory(5, 1);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(buf.data()) % 64, 0u);
+    std::memset(buf.data(), pass, kBytes);
+    if (pass >= 2) faults_after_warmup += minor_faults() - before;
+  }
+  EXPECT_LT(faults_after_warmup, 16);  // one pass faults kBytes/4K = 192
+}
+#endif
 
 // Reused storage is not zeroed, so every consumer must write before it
 // reads. Park blocks of every size class the joins below ask for, filled
