@@ -95,17 +95,43 @@ BENCHMARK(BM_HashProbe)->Arg(1 << 16)->Arg(1 << 20)->Arg(1 << 22);
 
 // ------------------------------------------------------- other kernels
 
+// Sort-merge setup: sort_into from the input view into a sorted copy,
+// against the copy + std::sort it replaced (docs/KERNELS.md). Args: rows,
+// Zipf z x 100 (key domain = rows).
 void BM_Sort(benchmark::State& state) {
   const auto rows = state.range(0);
-  auto r = make_rel(rows);
+  auto r = make_rel(rows, static_cast<double>(state.range(1)) / 100.0);
+  std::vector<rel::Tuple> out(r.rows());
   for (auto _ : state) {
-    std::vector<rel::Tuple> copy(r.tuples().begin(), r.tuples().end());
-    join::sort_fragment(copy);
-    benchmark::DoNotOptimize(copy.data());
+    join::sort_into(r.tuples(), out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_Sort)->Arg(1 << 16)->Arg(1 << 20);
+
+void BM_SortStdBaseline(benchmark::State& state) {
+  const auto rows = state.range(0);
+  auto r = make_rel(rows, static_cast<double>(state.range(1)) / 100.0);
+  std::vector<rel::Tuple> out(r.rows());
+  for (auto _ : state) {
+    std::copy(r.tuples().begin(), r.tuples().end(), out.begin());
+    std::sort(out.begin(), out.end(), [](const rel::Tuple& a, const rel::Tuple& b) {
+      return a.key < b.key;
+    });
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * rows);
+}
+
+void sort_args(benchmark::internal::Benchmark* b) {
+  for (const std::int64_t rows : {1 << 16, 1 << 20, 1 << 22}) {
+    for (const std::int64_t zipf_x100 : {0, 125}) b->Args({rows, zipf_x100});
+  }
+}
+BENCHMARK(BM_Sort)->Apply(sort_args);
+BENCHMARK(BM_SortStdBaseline)->Apply(sort_args);
 
 void BM_MergeJoin(benchmark::State& state) {
   const auto rows = state.range(0);

@@ -347,8 +347,8 @@ std::function<void()> stationary_setup(const JoinSpec& spec, int radix_bits,
       };
     case Algorithm::kSortMergeJoin:
       return [state] {
-        state->s_sorted = join::PoolArray<rel::Tuple>(state->s_view);
-        join::sort_fragment(state->s_sorted);
+        state->s_sorted = join::PoolArray<rel::Tuple>(state->s_view.size());
+        join::sort_into(state->s_view, state->s_sorted);
       };
     case Algorithm::kNestedLoops:
       return [] {};
@@ -436,8 +436,8 @@ std::vector<std::function<void()>> setup_closures(
       break;
     case Algorithm::kSortMergeJoin:
       out.push_back([host, writer, origin] {
-        join::PoolArray<rel::Tuple> r_sorted(host->r_view);
-        join::sort_fragment(r_sorted);
+        join::PoolArray<rel::Tuple> r_sorted(host->r_view.size());
+        join::sort_into(host->r_view, r_sorted);
         host->slab = writer.from_sorted(r_sorted, origin);
       });
       break;

@@ -1,6 +1,6 @@
 #include "join/local_join.h"
 
-#include <vector>
+#include <memory>
 
 #include "common/cputime.h"
 #include "join/hash_join.h"
@@ -33,15 +33,16 @@ JoinResult local_sort_merge_join(std::span<const rel::Tuple> r,
                                  LocalJoinTiming* timing, bool materialize,
                                  const KernelConfig& kernel) {
   CpuStopwatch watch;
-  std::vector<rel::Tuple> r_sorted(r.begin(), r.end());
-  std::vector<rel::Tuple> s_sorted(s.begin(), s.end());
-  sort_fragment(r_sorted);
-  sort_fragment(s_sorted);
+  const auto r_sorted = std::make_unique_for_overwrite<rel::Tuple[]>(r.size());
+  const auto s_sorted = std::make_unique_for_overwrite<rel::Tuple[]>(s.size());
+  sort_into(r, {r_sorted.get(), r.size()});
+  sort_into(s, {s_sorted.get(), s.size()});
   if (timing) timing->setup_ns = watch.elapsed_ns();
 
   watch.restart();
   JoinResult result(materialize);
-  band_merge_join(r_sorted, s_sorted, band, result, kernel);
+  band_merge_join({r_sorted.get(), r.size()}, {s_sorted.get(), s.size()}, band,
+                  result, kernel);
   if (timing) timing->join_ns = watch.elapsed_ns();
   return result;
 }

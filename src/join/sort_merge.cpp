@@ -1,8 +1,13 @@
 #include "join/sort_merge.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstring>
+#include <utility>
 
 #include "common/assert.h"
+#include "join/page_pool.h"
 #include "join/sort_merge_simd.h"
 #include "obs/prof.h"
 
@@ -67,12 +72,137 @@ inline std::size_t window_end(const detail::MergeScanOps& ops,
   return i;
 }
 
+/// Top key bits of the MSD pass: 2^11 clusters, so its counters (16 KB)
+/// and the scatter's 2^11 write streams stay within L1/L2 reach.
+constexpr int kMsdBits = 11;
+/// Widest LSD digit; two digits cover the 21 bits a full 32-bit key range
+/// leaves below the MSD bits.
+constexpr int kMaxDigitBits = 11;
+/// Clusters up to this size are insertion-sorted: below it a counting
+/// pass's fixed cost (clearing and summing 2^digit counters) outweighs
+/// the quadratic moves.
+constexpr std::size_t kInsertionMax = 32;
+
+void insertion_sort(rel::Tuple* t, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const rel::Tuple x = t[i];
+    std::size_t j = i;
+    for (; j > 0 && t[j - 1].key > x.key; --j) t[j] = t[j - 1];
+    t[j] = x;
+  }
+}
+
+/// Counters of one LSD pass, reused by every pass of one sort.
+using DigitCounts = std::array<std::uint32_t, std::size_t{1} << kMaxDigitBits>;
+
+/// One stable counting pass: src[0, n) into dst by the `bits`-wide digit
+/// of key - base starting at bit `shift`.
+void counting_pass(const rel::Tuple* src, rel::Tuple* dst, std::size_t n,
+                   std::uint32_t base, int shift, int bits, DigitCounts& offsets) {
+  CJ_DCHECK(n <= 0xFFFFFFFFU);
+  const std::size_t buckets = std::size_t{1} << bits;
+  const std::uint32_t mask = static_cast<std::uint32_t>(buckets - 1);
+  std::fill_n(offsets.begin(), buckets, 0U);
+  for (std::size_t i = 0; i < n; ++i) {
+    ++offsets[((src[i].key - base) >> shift) & mask];
+  }
+  std::uint32_t sum = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::uint32_t count = offsets[b];
+    offsets[b] = sum;
+    sum += count;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[offsets[((src[i].key - base) >> shift) & mask]++] = src[i];
+  }
+}
+
+/// Sorts one MSD cluster t[0, n) in place. Every key - base in it shares
+/// its top bits, so sorting by the bits that vary sorts by key. `scratch`
+/// holds at least n tuples.
+void sort_cluster(rel::Tuple* t, std::size_t n, std::uint32_t base,
+                  rel::Tuple* scratch, DigitCounts& counts) {
+  if (n <= kInsertionMax) {
+    insertion_sort(t, n);
+    return;
+  }
+  std::uint32_t any = 0;
+  std::uint32_t all = ~0U;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t x = t[i].key - base;
+    any |= x;
+    all &= x;
+  }
+  const std::uint32_t varying = any & ~all;
+  if (varying == 0) return;  // one key
+  const int lo = std::countr_zero(varying);
+  const int width = std::bit_width(varying) - lo;
+  const int passes = (width + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit = (width + passes - 1) / passes;
+  rel::Tuple* src = t;
+  rel::Tuple* dst = scratch;
+  for (int shift = lo; shift < lo + width; shift += digit) {
+    const int bits = std::min(digit, lo + width - shift);
+    if (((varying >> shift) & ((1U << bits) - 1)) == 0) continue;
+    counting_pass(src, dst, n, base, shift, bits, counts);
+    std::swap(src, dst);
+  }
+  if (src != t) std::memcpy(t, src, n * sizeof(rel::Tuple));
+}
+
 }  // namespace
 
+void sort_into(std::span<const rel::Tuple> in, std::span<rel::Tuple> out) {
+  CJ_CHECK_MSG(in.size() == out.size(), "sort_into needs |out| == |in|");
+  obs::prof::ScopedProfile prof(obs::prof::current(), "sort", in.size());
+  const std::size_t n = in.size();
+  if (n == 0) return;
+  if (n <= kInsertionMax) {
+    std::memcpy(out.data(), in.data(), in.size_bytes());
+    insertion_sort(out.data(), n);
+    return;
+  }
+
+  // 1. Key range.
+  std::uint32_t lo = in[0].key;
+  std::uint32_t hi = in[0].key;
+  for (const rel::Tuple& t : in) {
+    lo = std::min(lo, t.key);
+    hi = std::max(hi, t.key);
+  }
+  const int range_bits = std::bit_width(hi - lo);
+  const int msd_bits = std::min(kMsdBits, range_bits);
+  const int shift = range_bits - msd_bits;
+
+  // 2. MSD counting pass, in -> out.
+  std::array<std::size_t, (std::size_t{1} << kMsdBits) + 1> bounds{};
+  const std::size_t clusters = std::size_t{1} << msd_bits;
+  for (const rel::Tuple& t : in) ++bounds[((t.key - lo) >> shift) + 1];
+  std::size_t largest = 0;
+  for (std::size_t c = 0; c < clusters; ++c) {
+    largest = std::max(largest, bounds[c + 1]);
+    bounds[c + 1] += bounds[c];
+  }
+  {
+    std::array<std::size_t, std::size_t{1} << kMsdBits> next{};
+    std::copy_n(bounds.begin(), clusters, next.begin());
+    rel::Tuple* dst = out.data();
+    for (const rel::Tuple& t : in) dst[next[(t.key - lo) >> shift]++] = t;
+  }
+  if (shift == 0) return;  // every cluster holds one key
+
+  // 3. Each cluster by its remaining `shift` bits.
+  PoolArray<rel::Tuple> scratch(largest > kInsertionMax ? largest : 0);
+  DigitCounts counts{};
+  for (std::size_t c = 0; c < clusters; ++c) {
+    sort_cluster(out.data() + bounds[c], bounds[c + 1] - bounds[c], lo,
+                 scratch.data(), counts);
+  }
+}
+
 void sort_fragment(std::span<rel::Tuple> fragment) {
-  obs::prof::ScopedProfile prof(obs::prof::current(), "sort", fragment.size());
-  std::sort(fragment.begin(), fragment.end(),
-            [](const rel::Tuple& a, const rel::Tuple& b) { return a.key < b.key; });
+  const PoolArray<rel::Tuple> copy{std::span<const rel::Tuple>(fragment)};
+  sort_into(copy, fragment);
 }
 
 bool is_sorted_by_key(std::span<const rel::Tuple> fragment) {

@@ -1,9 +1,10 @@
 // Sort-merge join — the paper's second local join algorithm.
 //
-// Setup phase:  sort both fragments by join key (the paper uses the C
-//               library's qsort; we use std::sort which plays the same
-//               role). Sorting costs more than radix clustering, which is
-//               exactly the setup-vs-join trade-off of paper Sec. V-E.
+// Setup phase:  sort both fragments by join key with sort_into, a
+//               range-radix sort, where the paper uses the C library's
+//               qsort. Sorting then costs less than radix clustering plus
+//               a hash build, so the setup-vs-join trade-off of paper
+//               Sec. V-E no longer shows (EXPERIMENTS.md, deviation 6).
 // Join phase:   a strictly sequential merge over the two sorted runs —
 //               maximally cache-friendly — with full duplicate-group
 //               handling. The inner key scans (equal-key run ends, band
@@ -25,7 +26,20 @@
 
 namespace cj::join {
 
-/// Sorts a fragment in place by join key (setup phase).
+/// Writes `in` sorted by join key into `out` (setup phase).
+/// `out` must be as large as `in` and must not overlap it. Three steps:
+///   1. one pass finds the key range [min, max];
+///   2. one MSD counting pass scatters `in` into `out` by the top (at most
+///      11) bits of key - min, so every cluster of `out` holds one
+///      contiguous key range;
+///   3. each cluster is sorted in place: a tiny one by insertion sort, a
+///      larger one by LSD counting passes over its remaining bits, skipping
+///      every digit that is constant across the cluster.
+/// The LSD passes borrow one scratch buffer sized to the largest cluster,
+/// never to the input.
+void sort_into(std::span<const rel::Tuple> in, std::span<rel::Tuple> out);
+
+/// Sorts a fragment in place by join key: sort_into from a copy.
 void sort_fragment(std::span<rel::Tuple> fragment);
 
 /// True if the span is sorted by key (debug validation).

@@ -48,20 +48,6 @@ TEST(PhaseTimings, SetupShrinksWithRingSize) {
   EXPECT_LT(rep6.setup_wall, rep1.setup_wall / 2);
 }
 
-TEST(PhaseTimings, SortMergeSetupDominatesHashSetup) {
-  auto r = rel::generate({.rows = 400'000, .key_domain = 400'000, .seed = 5}, "R", 1);
-  auto s = rel::generate({.rows = 400'000, .key_domain = 400'000, .seed = 6}, "S", 2);
-
-  CycloJoin hash(cluster_of(4), JoinSpec{.algorithm = Algorithm::kHashJoin});
-  CycloJoin merge(cluster_of(4), JoinSpec{.algorithm = Algorithm::kSortMergeJoin});
-  const RunReport h = hash.run(r, s);
-  const RunReport m = merge.run(r, s);
-  EXPECT_EQ(h.matches, m.matches);
-  EXPECT_EQ(h.checksum, m.checksum);
-  // Paper Sec. V-E: sorting costs significantly more than hashing.
-  EXPECT_GT(m.setup_wall, h.setup_wall);
-}
-
 TEST(PhaseTimings, TcpIsSlowerThanRdma) {
   auto r = rel::generate({.rows = 500'000, .key_domain = 500'000, .seed = 7}, "R", 1);
   auto s = rel::generate({.rows = 500'000, .key_domain = 500'000, .seed = 8}, "S", 2);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstring>
 #include <map>
@@ -161,6 +162,96 @@ TEST(PartitionHashTable, NoFalseMatches) {
   EXPECT_EQ(result.matches(), 0u);
 }
 
+// ----------------------------------------------------------- sort kernel
+//
+// sort_into against a std::sort reference kept here: keys in the same
+// order and the same tuple multiset. The LSD path only runs for MSD
+// clusters above the insertion-sort cutoff, so the scale cases use
+// 2^14-2^18 rows over domain 2^20, where the Zipf head fills one cluster
+// far beyond the rest.
+
+bool key_then_payload_less(const rel::Tuple& a, const rel::Tuple& b) {
+  return a.key != b.key ? a.key < b.key : a.payload < b.payload;
+}
+
+void expect_sorts(std::span<const rel::Tuple> in) {
+  std::vector<rel::Tuple> out(in.size());
+  sort_into(in, out);
+
+  std::vector<rel::Tuple> ref(in.begin(), in.end());
+  std::sort(ref.begin(), ref.end(),
+            [](const rel::Tuple& a, const rel::Tuple& b) { return a.key < b.key; });
+  for (std::size_t i = 0; i < ref.size(); ++i) {
+    ASSERT_EQ(out[i].key, ref[i].key) << "row " << i << " of " << ref.size();
+  }
+
+  std::sort(out.begin(), out.end(), key_then_payload_less);
+  std::sort(ref.begin(), ref.end(), key_then_payload_less);
+  EXPECT_EQ(out, ref) << "tuple multiset changed";
+}
+
+TEST(SortInto, EmptyAndSingleTuple) {
+  sort_into({}, {});
+  const std::vector<rel::Tuple> one = {{42, 7}};
+  expect_sorts(one);
+}
+
+TEST(SortInto, AllEqualKeys) {
+  std::vector<rel::Tuple> in;
+  for (std::uint64_t i = 0; i < 5'000; ++i) in.push_back({9, i});
+  expect_sorts(in);
+}
+
+TEST(SortInto, KeysAtBothEndsOfTheDomain) {
+  // A 32-bit key range: 400 tuples of two keys in each end cluster, so
+  // both take the LSD pass rather than the insertion sort, and 200 of one
+  // key in the middle cluster.
+  const std::uint32_t keys[] = {0xFFFFFFFF, 0, 0x80000000, 0xFFFFFFFE, 1};
+  std::vector<rel::Tuple> in;
+  for (std::uint64_t i = 0; i < 1'000; ++i) in.push_back({keys[i % 5], i});
+  expect_sorts(in);
+}
+
+TEST(SortInto, FullKeyDomainTakesTwoLsdDigits) {
+  // A 32-bit key range leaves 21 bits below the 11 MSD bits: two LSD
+  // digits per cluster, ~128 tuples per cluster at 2^18 rows.
+  auto t = gen(1U << 18, 1ULL << 32, 21);
+  std::vector<rel::Tuple> in(t.tuples().begin(), t.tuples().end());
+  in.push_back({0, 1ULL << 40});
+  in.push_back({0xFFFFFFFF, 1ULL << 41});
+  expect_sorts(in);
+}
+
+TEST(SortInto, UnalignedMinimumKey) {
+  // min = 1'000'003 is aligned to no cluster width: a cluster spans a
+  // carry into its keys' low bits, so the LSD digits must come from
+  // key - min, not from key.
+  auto t = gen(1U << 18, 1U << 20, 22);
+  std::vector<rel::Tuple> in(t.tuples().begin(), t.tuples().end());
+  for (rel::Tuple& tuple : in) tuple.key += 1'000'003;
+  expect_sorts(in);
+}
+
+struct SortCase {
+  int log_rows;
+  double zipf;
+};
+
+class SortIntoScale : public ::testing::TestWithParam<SortCase> {};
+
+TEST_P(SortIntoScale, MatchesStdSort) {
+  const auto [log_rows, zipf] = GetParam();
+  auto t = gen(1ULL << log_rows, 1U << 20, 24, zipf);
+  expect_sorts(t.tuples());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RowsAndSkew, SortIntoScale,
+    ::testing::Values(SortCase{14, 0.0}, SortCase{14, 0.5}, SortCase{14, 1.0},
+                      SortCase{14, 1.25}, SortCase{16, 0.0}, SortCase{16, 0.5},
+                      SortCase{16, 1.0}, SortCase{16, 1.25}, SortCase{18, 0.0},
+                      SortCase{18, 0.5}, SortCase{18, 1.0}, SortCase{18, 1.25}));
+
 // ---------------------------------------------------------- merge joins
 
 TEST(MergeJoin, HandlesDuplicateGroupsOnBothSides) {
@@ -219,6 +310,30 @@ TEST(BandMergeJoin, KeySpaceBoundariesDoNotOverflow) {
   nested_loops_band_join(r, s, 5, oracle);
   EXPECT_EQ(got.matches(), oracle.matches());
   EXPECT_EQ(got.checksum(), oracle.checksum());
+}
+
+TEST(BandMergeJoin, LargeInputsMatchNestedLoops) {
+  // 2^14 rows per side, sorted by sort_into inside local_sort_merge_join.
+  // Zipf 1.0 over 2^20 piles about half the rows into the first MSD
+  // cluster, so the sort takes its LSD passes. One nested-loops pass
+  // serves all three bands.
+  auto r = gen(1U << 14, 1U << 20, 31, 1.0);
+  auto s = gen(1U << 14, 1U << 20, 32, 1.0);
+  constexpr std::array<std::uint32_t, 3> kBands = {0, 1, 300};
+  std::array<JoinResult, kBands.size()> oracle;
+  for (const rel::Tuple& a : r.tuples()) {
+    for (const rel::Tuple& b : s.tuples()) {
+      const std::uint32_t d = a.key > b.key ? a.key - b.key : b.key - a.key;
+      for (std::size_t i = 0; i < kBands.size(); ++i) {
+        if (d <= kBands[i]) oracle[i].add_match(a, b);
+      }
+    }
+  }
+  for (std::size_t i = 0; i < kBands.size(); ++i) {
+    const JoinResult got = local_sort_merge_join(r.tuples(), s.tuples(), kBands[i]);
+    EXPECT_EQ(got.matches(), oracle[i].matches()) << "band " << kBands[i];
+    EXPECT_EQ(got.checksum(), oracle[i].checksum()) << "band " << kBands[i];
+  }
 }
 
 TEST(MatchingWindow, BoundsTheMergeInput) {
@@ -798,11 +913,12 @@ TEST(PagePool, JoinsOnAdoptedPoisonedBlocksMatchTheOracle) {
     EXPECT_EQ(hashed.matches(), oracle.matches()) << "|S| " << s_rows;
     EXPECT_EQ(hashed.checksum(), oracle.checksum()) << "|S| " << s_rows;
 
-    // The cyclo-join's sort-merge setup: sorted pool copies of both sides.
-    PoolArray<rel::Tuple> s_sorted(s.tuples());
-    PoolArray<rel::Tuple> r_sorted(r.tuples());
-    sort_fragment(s_sorted);
-    sort_fragment(r_sorted);
+    // The cyclo-join's sort-merge setup: both sides sorted from their
+    // views straight into uninitialized pool arrays.
+    PoolArray<rel::Tuple> s_sorted(s.rows());
+    PoolArray<rel::Tuple> r_sorted(r.rows());
+    sort_into(s.tuples(), s_sorted);
+    sort_into(r.tuples(), r_sorted);
     JoinResult merged;
     merge_join(r_sorted, s_sorted, merged);
     EXPECT_EQ(merged.matches(), oracle.matches()) << "|S| " << s_rows;
