@@ -7,9 +7,13 @@
 // Every probe case is checked against an independent reference: its
 // order-independent checksum must equal that of a sort-merge equi-join of
 // the same inputs (check_checksum), so a wrong hash join fails the run
-// before any of its timings is trusted.
+// before any of its timings is trusted. Sort cases are checked the same
+// way against a std::sort of the same input.
 #pragma once
 
+#include <sys/mman.h>
+
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -23,6 +27,7 @@
 #include "join/local_join.h"
 #include "join/radix.h"
 #include "join/simd.h"
+#include "join/sort_merge.h"
 #include "rel/generator.h"
 
 namespace cj::bench {
@@ -34,7 +39,8 @@ namespace cj::bench {
 /// other cases of the same size).
 struct KernelCase {
   std::string kernel;   ///< "radix_cluster", "hash_build", "probe_partition",
-                        ///< "probe_cached", "probe_simd"
+                        ///< "probe_cached", "probe_simd", "sort_into",
+                        ///< "sort_into_cold"
   /// "optimized", or "legacy" for probe_simd's forced-scalar twin. The
   /// names match the rows of the checked-in baseline, which also keeps the
   /// frozen numbers of the removed pre-optimization kernels.
@@ -48,18 +54,19 @@ struct KernelCase {
   /// different code paths, not noise.
   std::string tier;
   /// For probe cases, the checksum of a sort-merge equi-join of the same
-  /// inputs, which run() must return.
+  /// inputs; for sort cases, the std::sort reference's sampled keys.
+  /// run() must return it.
   std::optional<std::uint64_t> reference;
   std::function<std::uint64_t()> run;
 
   std::string label() const { return kernel + "/" + variant; }
 };
 
-/// Aborts when a probe case's checksum disagrees with its sort-merge
-/// reference: the hash join is wrong and no timing of it can be trusted.
+/// Aborts when a case's result disagrees with its reference: the kernel is
+/// wrong and no timing of it can be trusted.
 inline void check_checksum(const KernelCase& c, std::uint64_t checksum) {
   CJ_CHECK_MSG(!c.reference.has_value() || *c.reference == checksum,
-               "kernel case checksum differs from the sort-merge reference");
+               "kernel case result differs from its reference");
 }
 
 namespace internal {
@@ -76,6 +83,7 @@ struct AbInputs {
   join::HashJoinStationary cached;     // cache-budget bits
   join::PartitionedData cached_r;
   join::HashJoinStationary scalar_cached;  // simd forced off, same layout
+  std::vector<rel::Tuple> sorted;  // the warm sort's output
 };
 
 }  // namespace internal
@@ -150,6 +158,43 @@ inline std::vector<KernelCase> make_kernel_cases(std::int64_t rows) {
       reference);
   add("probe_simd", "optimized", bits, tier,
       [in, probe_all] { return probe_all(in->cached, in->cached_r); }, reference);
+
+  // Sort-merge setup: sort_into from the input view into a sorted copy.
+  // `sort_into` writes into an output the previous rep already touched;
+  // `sort_into_cold` maps fresh pages every rep, so the first-touch page
+  // faults of a query's one setup count too. Both return the sorted
+  // output's min, median and max keys, which must match a std::sort.
+  const auto sorted_keys = [](std::span<const rel::Tuple> sorted) {
+    const std::uint64_t lo = sorted.front().key;
+    const std::uint64_t mid = sorted[sorted.size() / 2].key;
+    const std::uint64_t hi = sorted.back().key;
+    return (lo << 42) ^ (mid << 21) ^ hi;
+  };
+  std::vector<rel::Tuple> by_std(in->r.tuples().begin(), in->r.tuples().end());
+  std::sort(by_std.begin(), by_std.end(),
+            [](const rel::Tuple& a, const rel::Tuple& b) { return a.key < b.key; });
+  const std::uint64_t sort_reference = sorted_keys(by_std);
+  in->sorted.assign(in->r.rows(), rel::Tuple{});
+  add("sort_into", "optimized", 0, tier,
+      [in, sorted_keys] {
+        join::sort_into(in->r.tuples(), in->sorted);
+        return sorted_keys(in->sorted);
+      },
+      sort_reference);
+  add("sort_into_cold", "optimized", 0, tier,
+      [in, sorted_keys] {
+        const std::size_t bytes = in->r.rows() * sizeof(rel::Tuple);
+        void* pages = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        CJ_CHECK_MSG(pages != MAP_FAILED, "mmap of the sort output failed");
+        const std::span<rel::Tuple> out(static_cast<rel::Tuple*>(pages),
+                                        in->r.rows());
+        join::sort_into(in->r.tuples(), out);
+        const std::uint64_t keys = sorted_keys(out);
+        munmap(pages, bytes);
+        return keys;
+      },
+      sort_reference);
   return cases;
 }
 

@@ -242,7 +242,9 @@ void run_kernel_ab(bench::BenchJson& json, const std::vector<std::int64_t>& size
       std::printf("%-26s %9" PRId64 " rows  bits %2d  %-6s %7.1f Mit/s%s\n",
                   c.label().c_str(), rows, c.radix_bits, c.tier.c_str(),
                   rows_d / (ns * 1e-3),
-                  c.reference.has_value() ? "  (= sort-merge)" : "");
+                  !c.reference.has_value()        ? ""
+                  : c.kernel.starts_with("sort")  ? "  (= std::sort)"
+                                                  : "  (= sort-merge)");
     }
   }
   std::printf("profile counters: %s\n", profiler.hardware() ? "hw" : "fallback");

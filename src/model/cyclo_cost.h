@@ -36,7 +36,12 @@ struct CycloCostParams {
   // Per-tuple kernel costs in ns on one reference core.
   double hash_build_ns_per_tuple = 60.0;    // radix-cluster S + table build
   double hash_reorg_ns_per_tuple = 57.0;    // radix-cluster R + chunk encode
-  double hash_probe_ns_per_tuple = 78.0;
+  // Fitted to the simulator: on one host the join phase is pure probe
+  // work, so sim join_wall * join_threads / rows is the per-tuple probe
+  // cost. Median of 55 runs of `abl_cost_model --nodes 1` (45 at --scale
+  // 16, 10 at the default 32; RelWithDebInfo build, 4-vCPU x86-64 VM):
+  // 62 ns, quartiles 55 and 70 ns.
+  double hash_probe_ns_per_tuple = 62.0;
   double sort_ns_per_tuple = 313.0;         // qsort-style sort (setup)
   double merge_ns_per_tuple = 26.0;         // sequential merge (join phase)
 

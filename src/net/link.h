@@ -38,15 +38,22 @@ class Link {
   /// (e.g. the RNIC's per-work-request processing). Completes after the
   /// data has fully arrived at the far end.
   sim::Task<void> transfer(std::uint64_t bytes, SimDuration extra_wire_time = 0) {
+    co_await serialize(bytes, extra_wire_time);
+    co_await engine_.sleep(spec_.propagation_delay);
+  }
+
+  /// Puts a message on the wire and completes once its last bit has left
+  /// the sender; it arrives `spec().propagation_delay` later. A sender that
+  /// streams calls this back to back, so propagation overlaps the next
+  /// message's serialization.
+  sim::Task<void> serialize(std::uint64_t bytes, SimDuration extra_wire_time = 0) {
     co_await wire_.acquire();
-    const SimDuration serialize = serialization_time(bytes) + extra_wire_time;
-    co_await engine_.sleep(serialize);
-    busy_ += serialize;
+    const SimDuration wire_time = serialization_time(bytes) + extra_wire_time;
+    co_await engine_.sleep(wire_time);
+    busy_ += wire_time;
     bytes_ += bytes;
     ++messages_;
     wire_.release();
-    // Propagation overlaps with the next message's serialization.
-    co_await engine_.sleep(spec_.propagation_delay);
   }
 
   /// Pure wire time for a payload of `bytes` at link bandwidth.

@@ -8,12 +8,26 @@ namespace cj::obs {
 
 namespace {
 
-bool is_core_entity(std::string_view entity) {
-  if (entity.size() < 5 || entity.substr(0, 4) != "core") return false;
-  for (const char c : entity.substr(4)) {
+/// `prefix` followed only by decimal digits (at least one unless
+/// `bare_ok`).
+bool is_numbered(std::string_view entity, std::string_view prefix, bool bare_ok) {
+  if (!entity.starts_with(prefix)) return false;
+  const std::string_view digits = entity.substr(prefix.size());
+  if (digits.empty()) return bare_ok;
+  for (const char c : digits) {
     if (c < '0' || c > '9') return false;
   }
   return true;
+}
+
+bool is_core_entity(std::string_view entity) {
+  return is_numbered(entity, "core", /*bare_ok=*/false);
+}
+
+/// The transmitter's send tracks: "tx", then "tx1", "tx2", ... for sends
+/// that overlap.
+bool is_tx_entity(std::string_view entity) {
+  return is_numbered(entity, "tx", /*bare_ok=*/true);
 }
 
 /// Merges half-open intervals into a sorted disjoint cover.
@@ -94,7 +108,7 @@ std::vector<HostOverlap> overlap_by_host(const Tracer& trace) {
     if (s.host == kGlobalHost) continue;
     const std::string_view entity = trace.name(s.entity);
     HostAcc& acc = hosts[s.host];
-    if (entity == "tx") {
+    if (is_tx_entity(entity)) {
       acc.tx.emplace_back(s.start, s.end);
     } else if (is_core_entity(entity) && s.name == join_name) {
       acc.join.push_back(&s);

@@ -35,7 +35,8 @@ std::vector<Span> extract_spans(const Tracer& trace);
 /// Communication/computation overlap of one host.
 struct HostOverlap {
   int host = 0;
-  /// Union length of this host's transmitter send windows ("tx" spans).
+  /// Union length of this host's transmitter send windows (the "send"
+  /// spans on its "tx", "tx1", ... tracks; overlapping sends count once).
   std::int64_t transfer_time = 0;
   /// Join-tagged core-busy time over the whole run (with multiplicity:
   /// two cores joining for 1 ms contribute 2 ms).

@@ -24,6 +24,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace cj::obs {
@@ -124,6 +125,42 @@ class Tracer {
   std::map<std::string, std::uint32_t, std::less<>> ids_;
   std::vector<std::string> names_;
   std::vector<TraceEvent> events_;
+};
+
+/// Tracks for spans of one host that may overlap ("tx", "tx1", ...). Each
+/// span takes the lowest free track and frees it when it ends, so a track
+/// never holds two open spans and, under the innermost-span-closes rule,
+/// every span keeps its own end time and arg. Not locked: one owner
+/// (a host's engine thread) opens and closes its spans.
+class SpanLanes {
+ public:
+  explicit SpanLanes(std::string base) : base_(std::move(base)) {}
+
+  /// Opens a span on the lowest free track; returns that track's index.
+  int begin(Tracer& t, std::int64_t ts, int host, std::string_view name,
+            std::int64_t arg) {
+    std::size_t lane = 0;
+    while (lane < busy_.size() && busy_[lane]) ++lane;
+    if (lane == busy_.size()) {
+      busy_.push_back(false);
+      names_.push_back(lane == 0 ? base_ : base_ + std::to_string(lane));
+    }
+    busy_[lane] = true;
+    t.begin(ts, host, names_[lane], name, arg);
+    return static_cast<int>(lane);
+  }
+
+  /// Closes the span begin() opened on track `lane`.
+  void end(Tracer& t, std::int64_t ts, int host, int lane) {
+    const auto idx = static_cast<std::size_t>(lane);
+    busy_[idx] = false;
+    t.end(ts, host, names_[idx]);
+  }
+
+ private:
+  std::string base_;
+  std::vector<bool> busy_;
+  std::vector<std::string> names_;
 };
 
 }  // namespace cj::obs

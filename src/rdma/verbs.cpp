@@ -81,6 +81,8 @@ QueuePair::QueuePair(Device& device, CompletionQueue* send_cq,
       send_cq_(send_cq),
       recv_cq_(recv_cq),
       send_queue_(std::make_unique<sim::Channel<WorkRequest>>(
+          device.engine_, device.attr_.max_send_wr)),
+      in_flight_(std::make_unique<sim::Channel<InFlight>>(
           device.engine_, device.attr_.max_send_wr)) {}
 
 void QueuePair::validate(const WorkRequest& wr) const {
@@ -106,9 +108,13 @@ Status QueuePair::post_send(const WorkRequest& wr) {
   if (closed()) return unavailable("post_send on closed QP");
   CJ_CHECK_MSG(wr.opcode != Opcode::kRecv, "kRecv posted to the send queue");
   validate(wr);
-  if (!send_queue_->try_push(wr)) {
+  // Like a real send queue, a work request holds its slot until its
+  // completion is generated, also while it is on the wire.
+  if (outstanding_sends_ >= device_.attr_.max_send_wr) {
     return resource_exhausted("send queue full");
   }
+  CJ_CHECK(send_queue_->try_push(wr));
+  ++outstanding_sends_;
   trace_instant("rdma.post",
                 static_cast<std::int64_t>(wr.inline_header_len + wr.length));
   return Status::ok();
@@ -163,17 +169,23 @@ void QueuePair::deliver_send(const WorkRequest& send_wr,
   trace_instant("rdma.comp", static_cast<std::int64_t>(wire_len));
 }
 
-sim::Task<bool> QueuePair::send_with_retry(const WorkRequest& wr) {
+sim::Task<bool> QueuePair::deliver_with_retry(const InFlight& sent) {
+  const WorkRequest& wr = sent.wr;
   const DeviceAttr& attr = device_.attr_;
   const std::size_t wire_len = wr.inline_header_len + wr.length;
   obs::Tracer* const t = device_.engine_.tracer();
+  // The span runs from when this send heads the delivery queue until it is
+  // placed (or given up): spans of one QP never overlap, even while the
+  // sender process already serializes later sends.
   if (t != nullptr) {
     t->begin(device_.engine_.now(), device_.trace_host_, trace_name_,
              "rdma.send", static_cast<std::int64_t>(wire_len));
   }
+  if (device_.engine_.now() < sent.arrival) {
+    co_await device_.engine_.sleep(sent.arrival - device_.engine_.now());
+  }
   SimDuration backoff = attr.retry_backoff_initial;
   for (std::uint32_t attempt = 0;; ++attempt) {
-    co_await out_link_->transfer(wire_len, attr.per_wr_nic_overhead);
     // A peer in the error state (crashed host, torn-down connection) NAKs
     // immediately: no amount of retrying will get the message placed.
     if (remote_->error_) {
@@ -211,6 +223,7 @@ sim::Task<bool> QueuePair::send_with_retry(const WorkRequest& wr) {
     co_await device_.engine().sleep(backoff);
     if (t != nullptr) t->end(device_.engine_.now(), device_.trace_host_, trace_name_);
     backoff = std::min(backoff * 2, attr.retry_backoff_cap);
+    co_await out_link_->transfer(wire_len, attr.per_wr_nic_overhead);
   }
 }
 
@@ -221,40 +234,72 @@ void QueuePair::trace_instant(std::string_view name, std::int64_t arg) {
 }
 
 sim::Task<void> QueuePair::sender_process() {
+  // Streams: each work request goes on the wire as soon as the previous one
+  // has left it. Propagation, placement and completion happen in
+  // delivery_process().
   const SimDuration wr_overhead = device_.attr_.per_wr_nic_overhead;
   while (auto wr = co_await send_queue_->pop()) {
+    InFlight sent{*wr};
     if (error_) {
-      // Error state: flush everything still queued without touching the
-      // wire, like a real QP transitioning through SQE/ERR.
-      send_cq_->push(Completion{wr->wr_id, wr->opcode, 0, WcStatus::kFlushed});
+      // Error state: flush without touching the wire, like a real QP
+      // transitioning through SQE/ERR (in order, behind earlier sends).
+      sent.flushed = true;
+    } else {
+      // A read request carries no payload out; its data returns on the
+      // in-link once the request has arrived.
+      std::size_t out_bytes = 0;
+      if (wr->opcode == Opcode::kSend) out_bytes = wr->inline_header_len + wr->length;
+      if (wr->opcode == Opcode::kRdmaWrite) out_bytes = wr->length;
+      co_await out_link_->serialize(out_bytes, wr_overhead);
+      sent.arrival = device_.engine_.now() + out_link_->spec().propagation_delay;
+    }
+    co_await in_flight_->push(std::move(sent));
+  }
+  in_flight_->close();
+}
+
+void QueuePair::complete_send(const Completion& c) {
+  --outstanding_sends_;
+  send_cq_->push(c);
+}
+
+sim::Task<void> QueuePair::delivery_process() {
+  const SimDuration wr_overhead = device_.attr_.per_wr_nic_overhead;
+  while (auto sent = co_await in_flight_->pop()) {
+    const WorkRequest& wr = sent->wr;
+    if (sent->flushed || error_) {
+      complete_send(Completion{wr.wr_id, wr.opcode, 0, WcStatus::kFlushed});
       continue;
     }
-    switch (wr->opcode) {
+    // A send waits for its arrival inside deliver_with_retry(), under its
+    // trace span.
+    const SimTime now = device_.engine_.now();
+    if (wr.opcode != Opcode::kSend && now < sent->arrival) {
+      co_await device_.engine_.sleep(sent->arrival - now);
+    }
+    switch (wr.opcode) {
       case Opcode::kSend: {
-        const std::size_t wire_len = wr->inline_header_len + wr->length;
-        if (co_await send_with_retry(*wr)) {
-          send_cq_->push(Completion{wr->wr_id, Opcode::kSend, wire_len});
+        const std::size_t wire_len = wr.inline_header_len + wr.length;
+        if (co_await deliver_with_retry(*sent)) {
+          complete_send(Completion{wr.wr_id, Opcode::kSend, wire_len});
         } else {
           error_ = true;
-          send_cq_->push(
-              Completion{wr->wr_id, Opcode::kSend, 0, WcStatus::kRetryExceeded});
+          complete_send(
+              Completion{wr.wr_id, Opcode::kSend, 0, WcStatus::kRetryExceeded});
         }
         break;
       }
       case Opcode::kRdmaWrite: {
-        co_await out_link_->transfer(wr->length, wr_overhead);
-        std::memcpy(wr->remote_mr->data() + wr->remote_offset,
-                    wr->mr->data() + wr->offset, wr->length);
-        send_cq_->push(Completion{wr->wr_id, Opcode::kRdmaWrite, wr->length});
+        std::memcpy(wr.remote_mr->data() + wr.remote_offset,
+                    wr.mr->data() + wr.offset, wr.length);
+        complete_send(Completion{wr.wr_id, Opcode::kRdmaWrite, wr.length});
         break;
       }
       case Opcode::kRdmaRead: {
-        // Request travels out (header only), data returns on the in-link.
-        co_await out_link_->transfer(0, wr_overhead);
-        co_await in_link_->transfer(wr->length, wr_overhead);
-        std::memcpy(wr->mr->data() + wr->offset,
-                    wr->remote_mr->data() + wr->remote_offset, wr->length);
-        send_cq_->push(Completion{wr->wr_id, Opcode::kRdmaRead, wr->length});
+        co_await in_link_->transfer(wr.length, wr_overhead);
+        std::memcpy(wr.mr->data() + wr.offset,
+                    wr.remote_mr->data() + wr.remote_offset, wr.length);
+        complete_send(Completion{wr.wr_id, Opcode::kRdmaRead, wr.length});
         break;
       }
       case Opcode::kRecv:
@@ -271,8 +316,11 @@ void connect(QueuePair& a, QueuePair& b, net::Link& a_to_b, net::Link& b_to_a) {
   b.remote_ = &a;
   b.out_link_ = &b_to_a;
   b.in_link_ = &a_to_b;
-  a.device_.engine().spawn(a.sender_process(), a.device_.name() + "/qp-sender");
-  b.device_.engine().spawn(b.sender_process(), b.device_.name() + "/qp-sender");
+  for (QueuePair* qp : {&a, &b}) {
+    sim::Engine& engine = qp->device_.engine();
+    engine.spawn(qp->sender_process(), qp->device_.name() + "/qp-sender");
+    engine.spawn(qp->delivery_process(), qp->device_.name() + "/qp-delivery");
+  }
 }
 
 }  // namespace cj::rdma

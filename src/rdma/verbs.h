@@ -11,6 +11,10 @@
 //  * Per-work-request NIC processing overhead produces the chunk-size
 //    throughput curve of paper Fig. 5 (small messages cannot saturate the
 //    wire).
+//  * The send side streams: the next work request starts serializing as
+//    soon as the previous one has left the wire, so propagation overlaps
+//    it. Deliveries and completions still happen in post order, and a
+//    dropped send is retransmitted before any later one is placed.
 //  * Memory registration bills a base + per-page CPU cost to the host's
 //    cores (paper Sec. III-C: registration is expensive, so buffers must be
 //    registered once and reused).
@@ -219,7 +223,8 @@ class CompletionQueue {
 class QueuePair {
  public:
   /// Posts a send-side work request (kSend, kRdmaWrite, kRdmaRead).
-  /// Fails with kResourceExhausted when the send queue is full and with
+  /// Fails with kResourceExhausted when max_send_wr work requests are
+  /// outstanding (posted, not yet completed) and with
   /// kFailedPrecondition when the QP is not connected or in error.
   Status post_send(const WorkRequest& wr);
 
@@ -265,9 +270,20 @@ class QueuePair {
 
   QueuePair(Device& device, CompletionQueue* send_cq, CompletionQueue* recv_cq);
 
+  /// A work request the sender process has put on the wire (or flushed
+  /// untouched, once the QP is in error), waiting for its far-end effect.
+  struct InFlight {
+    WorkRequest wr;
+    SimTime arrival = 0;  ///< when the first copy reaches the peer
+    bool flushed = false;
+  };
+
   void validate(const WorkRequest& wr) const;
   sim::Task<void> sender_process();
-  sim::Task<bool> send_with_retry(const WorkRequest& wr);
+  sim::Task<void> delivery_process();
+  /// Frees the work request's send-queue slot and reports its completion.
+  void complete_send(const Completion& c);
+  sim::Task<bool> deliver_with_retry(const InFlight& sent);
   void deliver_send(const WorkRequest& send_wr, sim::FaultInjector* corruptor,
                     int link_id);
   void trace_instant(std::string_view name, std::int64_t arg);
@@ -279,6 +295,12 @@ class QueuePair {
   net::Link* out_link_ = nullptr;
   net::Link* in_link_ = nullptr;
   std::unique_ptr<sim::Channel<WorkRequest>> send_queue_;
+  /// Serialized work requests in post order; delivery_process() places and
+  /// completes them one at a time, so none overtakes a retransmission.
+  std::unique_ptr<sim::Channel<InFlight>> in_flight_;
+  /// Posted send-side work requests without a completion yet (queued or on
+  /// the wire); post_send() refuses work beyond max_send_wr of them.
+  std::uint32_t outstanding_sends_ = 0;
   std::deque<WorkRequest> recv_queue_;
   sim::FaultInjector* injector_ = nullptr;
   int fault_link_id_ = -1;
@@ -327,7 +349,8 @@ class Device {
 };
 
 /// Wires two queue pairs together over a pair of directed links and starts
-/// their NIC sender processes. Both QPs transition to "connected".
+/// their NIC sender and delivery processes. Both QPs transition to
+/// "connected".
 void connect(QueuePair& a, QueuePair& b, net::Link& a_to_b, net::Link& b_to_a);
 
 }  // namespace cj::rdma

@@ -39,6 +39,10 @@ RoundaboutNode::RoundaboutNode(sim::Engine& engine, sim::CorePool& cores,
   inbound_ = std::make_unique<sim::Channel<InboundChunk>>(
       engine, static_cast<std::size_t>(buffers), "ring-inbound");
   credits_ = std::make_unique<sim::Semaphore>(engine, buffers, "ring-credits");
+  // Credits bound the sends in flight to one wire; after a splice the old
+  // wire's failing sends may still be queued beside the new wire's.
+  sends_in_flight_ = std::make_unique<sim::Channel<InFlightSend>>(
+      engine, static_cast<std::size_t>(2 * buffers), "ring-sends-in-flight");
   injection_window_ = std::make_unique<sim::Semaphore>(
       engine, std::max(1, config_.injection_window), "injection-window");
   replica_acked_ = std::make_unique<sim::Semaphore>(engine, 0, "replica-acked");
@@ -121,6 +125,7 @@ sim::Task<Status> RoundaboutNode::start(NodeCounts counts,
 
   if (resilient()) {
     seen_.assign(static_cast<std::size_t>(config_.resilience.num_hosts), {});
+    held_chunk_.assign(static_cast<std::size_t>(config_.num_buffers), {-1, 0});
     engine_.spawn(receiver_resilient(), "ring-receiver");
     engine_.spawn(transmitter_resilient(), "ring-transmitter");
     engine_.spawn(scanner_process(), "ring-scanner");
@@ -130,6 +135,7 @@ sim::Task<Status> RoundaboutNode::start(NodeCounts counts,
     done_scanner_.set();
     if (counts_.arrivals == 0) done_recycles_.set();
   }
+  engine_.spawn(send_completer(), "ring-send-completer");
   co_return Status::ok();
 }
 
@@ -370,7 +376,10 @@ RoundaboutNode::SendRequest RoundaboutNode::take_outbound() {
 }
 
 void RoundaboutNode::spawn_recycle(int buffer_idx) {
-  if (resilient()) ++recycles_inflight_;
+  if (resilient()) {
+    held_chunk_[static_cast<std::size_t>(buffer_idx)] = {-1, 0};
+    ++recycles_inflight_;
+  }
   engine_.spawn(recycle(buffer_idx), "ring-recycle");
 }
 
@@ -405,20 +414,63 @@ sim::Task<void> RoundaboutNode::transmitter_process() {
     // explicit credits the transport's own backpressure plays this role.)
     if (config_.use_credits) co_await credits_->acquire();
     const SendRequest request = co_await OutboundAwaiter{this};
-    obs::Tracer* const t = engine_.tracer();
-    if (t != nullptr) {
-      t->begin(engine_.now(), config_.trace_host, "tx", "send",
-               static_cast<std::int64_t>(request.data.size()));
-    }
-    const Status status = co_await out_wire_->send(request.data);
-    if (t != nullptr) t->end(engine_.now(), config_.trace_host, "tx");
+    const Status status = co_await post(request);
     CJ_CHECK_MSG(status.is_ok(), "fault-free send failed");
-    bytes_sent_ += request.data.size();
-    if (request.recycle_idx >= 0) {
-      engine_.spawn(recycle(request.recycle_idx), "ring-recycle");
+  }
+  sends_in_flight_->close();
+}
+
+sim::Task<Status> RoundaboutNode::post(const SendRequest& request) {
+  const std::size_t bytes =
+      request.data.size() + (request.framed ? kFrameBytes : 0);
+  const int lane = open_tx_span(bytes);
+  Wire* const wire = out_wire_;
+  const Status status =
+      co_await wire->post_send(request.framed ? &request.header : nullptr,
+                               request.data);
+  if (status.is_ok()) {
+    co_await sends_in_flight_->push(
+        InFlightSend{wire, request.recycle_idx, bytes, lane});
+  } else {
+    close_tx_span(lane);
+  }
+  co_return status;
+}
+
+sim::Task<void> RoundaboutNode::send_completer() {
+  // Completions arrive in post order, so one loop serves every send in
+  // flight; a splice only ever appends the new wire's sends behind the old
+  // wire's.
+  while (auto sent = co_await sends_in_flight_->pop()) {
+    const Status status = co_await sent->wire->send_done();
+    close_tx_span(sent->lane);
+    if (status.is_ok()) {
+      bytes_sent_ += sent->bytes;
+    } else {
+      CJ_CHECK_MSG(resilient(), "fault-free send failed");
+      // The successor is gone and the message with it; the chunk's origin
+      // re-injects after its ack timeout. The transmitter parks until the
+      // splice before it posts again.
+      ++send_failures_;
+      out_wire_failed_ = true;
     }
+    if (sent->recycle_idx >= 0) spawn_recycle(sent->recycle_idx);
   }
   done_transmitter_.set();
+}
+
+int RoundaboutNode::open_tx_span(std::size_t bytes) {
+  obs::Tracer* const t = engine_.tracer();
+  if (t == nullptr) return -1;
+  // Sends overlap, so each takes its own track until its completion and
+  // its span carries its own message's bytes and end time.
+  return tx_lanes_.begin(*t, engine_.now(), config_.trace_host, "send",
+                         static_cast<std::int64_t>(bytes));
+}
+
+void RoundaboutNode::close_tx_span(int lane) {
+  if (lane < 0) return;
+  tx_lanes_.end(*engine_.tracer(), engine_.now(), config_.trace_host, lane);
 }
 
 sim::Task<void> RoundaboutNode::credit_receiver_process() {
@@ -582,7 +634,18 @@ sim::Task<void> RoundaboutNode::receiver_resilient() {
       trace_instant("duplicate", chunk.seq);
       flight_emit(obs::HopKind::kDuplicate, chunk.origin, chunk.seq,
                   header.reserved[0], 0);
+      const std::pair<int, std::uint32_t> key{chunk.origin, chunk.seq};
+      if (std::find(held_chunk_.begin(), held_chunk_.end(), key) !=
+          held_chunk_.end()) {
+        // An earlier copy still holds a buffer here and travels on from
+        // here: this one adds nothing. Keeping it would let re-injected
+        // copies fill every ring buffer (the injection window bounds
+        // originals, not copies) and deadlock the ring.
+        spawn_recycle(idx);
+        continue;
+      }
     }
+    held_chunk_[static_cast<std::size_t>(idx)] = {chunk.origin, chunk.seq};
     ++chunks_received_;
     trace_instant("recv", static_cast<std::int64_t>(arrival.length));
     flight_emit(obs::HopKind::kRecv, chunk.origin, chunk.seq,
@@ -656,40 +719,25 @@ sim::Task<void> RoundaboutNode::transmitter_resilient() {
     // so the swap does not change message order.
     const SendRequest request = co_await OutboundAwaiter{this};
     if (request.stop || stop_) break;
+    if (out_wire_failed_) {
+      // A send on the current wire failed: park until the control plane
+      // splices a replacement wire.
+      co_await splice_out_done_.wait();
+      out_wire_failed_ = false;
+      if (stop_) break;
+    }
     if (config_.use_credits) {
       co_await credits_->acquire();
       if (stop_) break;  // die()/request_stop() re-based the count to wake us
     }
-    // Deliberately if/else, not a conditional expression: co_await inside
-    // ?: miscompiles on this GCC (the child frame's result is not moved
-    // out properly).
-    obs::Tracer* const t = engine_.tracer();
-    if (t != nullptr) {
-      t->begin(engine_.now(), config_.trace_host, "tx", "send",
-               static_cast<std::int64_t>(request.data.size() +
-                                         (request.framed ? kFrameBytes : 0)));
-    }
-    Status status;
-    if (request.framed) {
-      status = co_await out_wire_->send_framed(request.header, request.data);
-    } else {
-      status = co_await out_wire_->send(request.data);
-    }
-    if (t != nullptr) t->end(engine_.now(), config_.trace_host, "tx");
-    if (status.is_ok()) {
-      bytes_sent_ += request.data.size() + (request.framed ? kFrameBytes : 0);
-      if (request.recycle_idx >= 0) spawn_recycle(request.recycle_idx);
-      continue;
-    }
-    // The successor is gone and the message with it. Recycle the buffer —
-    // the chunk's origin re-injects after its ack timeout — and park until
-    // the control plane splices a replacement wire.
+    const Status status = co_await post(request);
+    if (status.is_ok()) continue;
+    // The wire is already broken: the message is lost like a failed send.
     ++send_failures_;
+    out_wire_failed_ = true;
     if (request.recycle_idx >= 0) spawn_recycle(request.recycle_idx);
-    if (stop_) break;
-    co_await splice_out_done_.wait();
   }
-  done_transmitter_.set();
+  sends_in_flight_->close();
 }
 
 sim::Task<void> RoundaboutNode::credit_receiver_resilient() {

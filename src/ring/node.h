@@ -13,7 +13,11 @@
 //                for a later arrival (that would void rule 3 below),
 //   transmitter  drains the outbound queue toward the successor, gated by
 //                credits (one credit == one free buffer at the successor,
-//                which is what makes receiver-not-ready unreachable).
+//                which is what makes receiver-not-ready unreachable). It
+//                streams: as soon as a send is posted it takes the next
+//                credit and request, so up to one send per credit is in
+//                flight; a companion loop collects the completions in post
+//                order and recycles each sent buffer.
 //
 // Deadlock freedom. A store-and-forward ring with hop-by-hop credits can
 // deadlock when every buffer holds a young chunk and no chunk can reach the
@@ -47,7 +51,10 @@
 //     origin still holds the payload and re-injects it after ack_timeout,
 //   * per-origin sequence sets deduplicate re-injected chunks, so a chunk
 //     is delivered to the join entity at most once per host (duplicates
-//     are flagged and forwarded without joining),
+//     are flagged and forwarded without joining); a duplicate that finds
+//     an earlier copy still holding a buffer here is dropped at once, so
+//     re-injected copies cannot fill every ring buffer and jam the ring
+//     (the injection window bounds originals, not copies),
 //   * when a neighbor dies the wires fail fast; the node parks its
 //     receiver/transmitter until the control plane splices a replacement
 //     wire around the dead host (splice_in / splice_out),
@@ -66,12 +73,15 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "common/units.h"
 #include "obs/flight.h"
+#include "obs/trace.h"
 #include "ring/frame.h"
 #include "ring/wire.h"
 #include "sim/core_pool.h"
@@ -282,7 +292,8 @@ class RoundaboutNode {
   }
 
   /// Completes when every counted arrival, send, credit and recycle has
-  /// happened, then shuts the wires down. Call after the join work is done.
+  /// happened and every send in flight has completed, then shuts the wires
+  /// down. Call after the join work is done.
   /// In resilient mode, call request_stop() first.
   sim::Task<void> drain();
 
@@ -370,7 +381,7 @@ class RoundaboutNode {
     std::span<const std::byte> data;
     int recycle_idx = -1;  // ring buffer to recycle once sent (-1: none)
     // Resilient-mode fields.
-    bool framed = false;  // send via send_framed(header, data)
+    bool framed = false;  // prepend `header` (post_send with a header)
     FrameHeader header{};
     bool stop = false;  // sentinel: transmitter exits
   };
@@ -412,6 +423,17 @@ class RoundaboutNode {
 
   sim::Task<void> receiver_process();
   sim::Task<void> transmitter_process();
+  /// Posts one request on the current out-wire and queues it for
+  /// send_completer(); an error means nothing was posted.
+  sim::Task<Status> post(const SendRequest& request);
+  /// Collects send completions in post order (both modes): recycles sent
+  /// buffers, counts bytes and failures, and sets done_transmitter_ once
+  /// the transmitter has exited and every send in flight completed.
+  sim::Task<void> send_completer();
+  /// Opens / closes a send's span on the lowest free "tx" track (-1 when
+  /// untraced).
+  int open_tx_span(std::size_t bytes);
+  void close_tx_span(int lane);
   sim::Task<void> credit_receiver_process();
   sim::Task<void> recycle(int buffer_idx);
 
@@ -438,6 +460,19 @@ class RoundaboutNode {
   std::unique_ptr<sim::Channel<InboundChunk>> inbound_;
   std::unique_ptr<sim::Semaphore> credits_;
   std::unique_ptr<sim::Semaphore> injection_window_;
+
+  /// A posted send waiting for its completion.
+  struct InFlightSend {
+    Wire* wire = nullptr;  ///< the wire it was posted on (splices swap)
+    int recycle_idx = -1;
+    std::size_t bytes = 0;
+    int lane = -1;  ///< its "tx" trace track
+  };
+  std::unique_ptr<sim::Channel<InFlightSend>> sends_in_flight_;
+  /// A send on the current out-wire failed (resilient mode): the
+  /// transmitter parks until splice_out() before it posts again.
+  bool out_wire_failed_ = false;
+  obs::SpanLanes tx_lanes_{"tx"};
 
   std::deque<SendRequest> pending_forwards_;  // forwards + retire acks
   std::deque<SendRequest> pending_locals_;
@@ -469,6 +504,9 @@ class RoundaboutNode {
   std::map<std::uint32_t, Outstanding> adopted_outstanding_;
   /// Per-origin sequence numbers already seen (dedup of re-injections).
   std::vector<std::set<std::uint32_t>> seen_;
+  /// Per ring buffer, the (origin, seq) of the data chunk it holds, from
+  /// arrival until the buffer is recycled (origin -1: none).
+  std::vector<std::pair<int, std::uint32_t>> held_chunk_;
   /// Replica seqs already stored (dedup; duplicates are re-acked).
   std::set<std::uint32_t> replica_seen_;
   /// Ring buffers currently posted on the inbound wire (repair reposts).

@@ -44,30 +44,28 @@ class TcpWire final : public Wire {
     co_return *a;
   }
 
-  sim::Task<Status> send(std::span<const std::byte> data) override {
-    // Header + payload must not interleave with a concurrent send.
+  /// Completes once the whole message is accepted into the send window,
+  /// so send_done() has nothing left to wait for.
+  sim::Task<Status> post_send(const FrameHeader* header,
+                              std::span<const std::byte> payload) override {
+    // Length prefix, header and payload must not interleave with a
+    // concurrent send.
     co_await send_mutex_.acquire();
-    std::uint32_t len = static_cast<std::uint32_t>(data.size());
+    const std::size_t head_len = header != nullptr ? kFrameBytes : 0;
+    std::uint32_t len = static_cast<std::uint32_t>(head_len + payload.size());
     co_await send_conn_.send(
         std::span<const std::byte>(reinterpret_cast<const std::byte*>(&len), 4));
-    if (len > 0) co_await send_conn_.send(data);
-    send_mutex_.release();
-    co_return Status::ok();
-  }
-
-  sim::Task<Status> send_framed(const FrameHeader& header,
-                                std::span<const std::byte> payload) override {
-    co_await send_mutex_.acquire();
-    std::uint32_t len = static_cast<std::uint32_t>(kFrameBytes + payload.size());
-    co_await send_conn_.send(
-        std::span<const std::byte>(reinterpret_cast<const std::byte*>(&len), 4));
-    std::array<std::byte, kFrameBytes> head;
-    encode_frame(header, head.data());
-    co_await send_conn_.send(std::span<const std::byte>(head.data(), head.size()));
+    if (header != nullptr) {
+      std::array<std::byte, kFrameBytes> head;
+      encode_frame(*header, head.data());
+      co_await send_conn_.send(std::span<const std::byte>(head.data(), head.size()));
+    }
     if (!payload.empty()) co_await send_conn_.send(payload);
     send_mutex_.release();
     co_return Status::ok();
   }
+
+  sim::Task<Status> send_done() override { co_return Status::ok(); }
 
   void close_send() override { send_conn_.close(); }
   void close_recv() override {

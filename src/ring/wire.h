@@ -56,20 +56,29 @@ class Wire {
   /// Awaits the next inbound message.
   virtual sim::Task<Arrival> next_arrival() = 0;
 
-  /// Sends one message. Returns ok when `data` is safe to reuse (RDMA: send
-  /// completion; TCP: accepted into the send window), an error when the
-  /// wire failed and the message may not have been delivered.
-  virtual sim::Task<Status> send(std::span<const std::byte> data) = 0;
+  /// Posts one message — the optional frame `header` (the resilient
+  /// framing; the receiver sees it contiguous with `payload` in its posted
+  /// buffer) plus `payload` — and returns once the transport has taken it,
+  /// without waiting for the message to complete. Several posts may be
+  /// outstanding; send_done() reports their outcomes in post order. An
+  /// error means the wire is broken and nothing was posted, so no
+  /// send_done() is owed for it.
+  virtual sim::Task<Status> post_send(const FrameHeader* header,
+                                      std::span<const std::byte> payload) = 0;
 
-  /// Sends `header` + `payload` as one message (the resilient framing).
-  /// The receiver sees them contiguous in its posted buffer. Only wires
-  /// that participate in fault injection implement this.
-  virtual sim::Task<Status> send_framed(const FrameHeader& header,
-                                        std::span<const std::byte> payload) {
-    (void)header;
-    (void)payload;
-    CJ_CHECK_MSG(false, "this transport does not support framed sends");
-    return {};  // unreachable
+  /// Awaits the outcome of the oldest post_send() not yet collected: ok
+  /// when its buffer is safe to reuse (RDMA: send completion; TCP: accepted
+  /// into the send window), an error when the wire failed and the message
+  /// may not have been delivered.
+  virtual sim::Task<Status> send_done() = 0;
+
+  /// Posts one unframed message and awaits its outcome. Concurrent callers
+  /// are fine: nothing suspends between a caller's post and its wait, so
+  /// each collects its own outcome.
+  sim::Task<Status> send(std::span<const std::byte> data) {
+    const Status posted = co_await post_send(nullptr, data);
+    if (!posted.is_ok()) co_return posted;
+    co_return co_await send_done();
   }
 
   /// Shuts down the send side after queued data drains.

@@ -109,21 +109,19 @@ Status ShmWire::push_message(std::vector<std::byte> bytes) {
   return Status::ok();
 }
 
-sim::Task<Status> ShmWire::send(std::span<const std::byte> data) {
-  co_return push_message(
-      std::vector<std::byte>(data.begin(), data.end()));
-}
-
-sim::Task<Status> ShmWire::send_framed(const ring::FrameHeader& header,
-                                       std::span<const std::byte> payload) {
-  std::vector<std::byte> bytes(ring::kFrameBytes + payload.size());
-  ring::encode_frame(header, bytes.data());
-  if (!payload.empty()) {
-    std::memcpy(bytes.data() + ring::kFrameBytes, payload.data(),
-                payload.size());
+sim::Task<Status> ShmWire::post_send(const ring::FrameHeader* header,
+                                     std::span<const std::byte> payload) {
+  std::vector<std::byte> bytes;
+  bytes.reserve((header != nullptr ? ring::kFrameBytes : 0) + payload.size());
+  if (header != nullptr) {
+    bytes.resize(ring::kFrameBytes);
+    ring::encode_frame(*header, bytes.data());
   }
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
   co_return push_message(std::move(bytes));
 }
+
+sim::Task<Status> ShmWire::send_done() { co_return Status::ok(); }
 
 void ShmWire::close_send() {
   std::coroutine_handle<> wake;

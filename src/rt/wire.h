@@ -44,9 +44,11 @@ class ShmWire final : public ring::Wire {
   sim::Task<void> post_recv(std::uint64_t tag,
                             std::span<std::byte> buffer) override;
   sim::Task<ring::Arrival> next_arrival() override;
-  sim::Task<Status> send(std::span<const std::byte> data) override;
-  sim::Task<Status> send_framed(const ring::FrameHeader& header,
-                                std::span<const std::byte> payload) override;
+  /// Copies the message into the link under its lock: it is complete on
+  /// return, so send_done() has nothing left to wait for.
+  sim::Task<Status> post_send(const ring::FrameHeader* header,
+                              std::span<const std::byte> payload) override;
+  sim::Task<Status> send_done() override;
   void close_send() override;
   void close_recv() override;
   void fail() override;

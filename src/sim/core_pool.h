@@ -151,6 +151,23 @@ class CorePool {
     release(core);
   }
 
+  /// Bills `cost` to `tag` like consume(), but without waiting for a free
+  /// core: work this short (an RDMA doorbell write) interleaves with the
+  /// tasks the cores are running instead of queueing behind them. It is
+  /// traced on a "cores" track ("cores", "cores1", ... when charges
+  /// overlap), not on a core<N> track.
+  Task<void> interleave(SimDuration cost, std::string tag) {
+    CJ_CHECK(cost >= 0);
+    bill(tag, cost);
+    obs::Tracer* t = engine_.tracer();
+    int lane = -1;
+    if (t != nullptr) {
+      lane = interleave_lanes_.begin(*t, engine_.now(), trace_host_, tag, cost);
+    }
+    co_await engine_.sleep(cost);
+    if (t != nullptr) interleave_lanes_.end(*t, engine_.now(), trace_host_, lane);
+  }
+
   /// Total core-busy virtual time since construction (or last reset).
   SimDuration busy_total() const { return busy_total_; }
 
@@ -314,6 +331,7 @@ class CorePool {
   /// the executor enforces the caps on the real path).
   std::vector<std::unique_ptr<Semaphore>> caps_;
   std::vector<std::string> last_tag_;
+  obs::SpanLanes interleave_lanes_{"cores"};
   SimDuration busy_total_ = 0;
   std::map<std::string, SimDuration> busy_by_tag_;
   std::uint64_t context_switches_ = 0;

@@ -15,10 +15,13 @@
 // appear in a golden trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
+#include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -541,6 +544,12 @@ TEST_P(OverlapMatrix, TraceCoreTimeEqualsLedgerAndJoinOverlapsTransfer) {
       if (span.host != h) continue;
       const std::string_view entity = report.trace->name(span.entity);
       if (entity.starts_with("core")) from_trace += span.end - span.start;
+      // Interleaved charges (RDMA doorbells) overlap one another; each has
+      // a track to itself, so its span lasts exactly the cost it billed.
+      if (entity.starts_with("cores")) {
+        EXPECT_EQ(span.depth, 0u) << entity << " nests spans on host " << h;
+        EXPECT_EQ(span.end - span.start, span.arg) << entity << " on host " << h;
+      }
     }
     std::int64_t from_ledger = 0;
     for (const auto& [tag, busy] :
@@ -575,6 +584,62 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4),
                        ::testing::Values(std::size_t{16} * 1024,
                                          std::size_t{64} * 1024)));
+
+// Sends stream, so a host's send spans overlap. Each takes its own track
+// ("tx", "tx1", ...): no track ever nests two spans, every span carries its
+// own message's bytes, and overlap_by_host still measures the union of the
+// send windows.
+TEST(TracedJoin, OverlappingSendsKeepTheirOwnSpans) {
+  rel::Relation r =
+      rel::generate({.rows = 40'000, .key_domain = 9'000, .seed = 61}, "R", 1);
+  rel::Relation s =
+      rel::generate({.rows = 40'000, .key_domain = 9'000, .seed = 62}, "S", 2);
+  cyclo::ClusterConfig cfg;
+  cfg.num_hosts = 4;
+  cfg.cores_per_host = 2;
+  cfg.node.num_buffers = 8;
+  cfg.node.buffer_bytes = 16 * 1024;
+  cfg.trace.enabled = true;
+  cyclo::CycloJoin cyclo(cfg, {.algorithm = cyclo::Algorithm::kHashJoin});
+  const cyclo::RunReport report = cyclo.run(r, s);
+  ASSERT_NE(report.trace, nullptr);
+
+  std::map<int, std::int64_t> bytes;
+  std::map<int, std::vector<std::pair<std::int64_t, std::int64_t>>> windows;
+  std::map<int, std::set<std::string_view>> tracks;
+  for (const Span& span : extract_spans(*report.trace)) {
+    const std::string_view entity = report.trace->name(span.entity);
+    if (!entity.starts_with("tx")) continue;
+    EXPECT_EQ(span.depth, 0u) << entity << " nests spans on host " << span.host;
+    EXPECT_EQ(report.trace->name(span.name), "send");
+    bytes[span.host] += span.arg;
+    windows[span.host].emplace_back(span.start, span.end);
+    tracks[span.host].insert(entity);
+  }
+  bool overlapped = false;
+  for (int h = 0; h < cfg.num_hosts; ++h) {
+    const auto idx = static_cast<std::size_t>(h);
+    EXPECT_EQ(bytes[h],
+              static_cast<std::int64_t>(report.hosts[idx].bytes_sent))
+        << "host " << h;
+    overlapped = overlapped || tracks[h].size() > 1;
+  }
+  EXPECT_TRUE(overlapped) << "no host ever had two sends in flight";
+
+  // The union of each host's send windows is its transfer time.
+  for (const HostOverlap& o : overlap_by_host(*report.trace)) {
+    auto& w = windows[o.host];
+    std::sort(w.begin(), w.end());
+    std::int64_t covered = 0;
+    std::int64_t reach = std::numeric_limits<std::int64_t>::min();
+    for (const auto& [start, end] : w) {
+      if (end <= reach) continue;
+      covered += end - std::max(start, reach);
+      reach = end;
+    }
+    EXPECT_EQ(o.transfer_time, covered) << "host " << o.host;
+  }
+}
 
 TEST(TracedJoin, DisabledByDefaultAndCheap) {
   rel::Relation r = rel::generate({.rows = 5'000, .seed = 41}, "R", 1);

@@ -9,6 +9,7 @@
 #include "rdma/verbs.h"
 #include "sim/core_pool.h"
 #include "sim/engine.h"
+#include "sim/fault.h"
 
 namespace cj::rdma {
 namespace {
@@ -269,10 +270,76 @@ TEST(QueuePair, SendQueueExhaustionIsReported) {
   Status st = Status::ok();
   std::uint32_t posted = 0;
   while ((st = rig.qp_a->post_send(wr)).is_ok()) ++posted;
-  // The NIC's sender process takes the first WR for processing immediately
-  // (direct handoff), so the queue accepts its depth plus that one.
-  EXPECT_EQ(posted, rig.dev_a.attr().max_send_wr + 1);
+  EXPECT_EQ(posted, rig.dev_a.attr().max_send_wr);
   EXPECT_EQ(st.code(), ErrorCode::kResourceExhausted);
+}
+
+TEST(QueuePair, SendsOnTheWireHoldTheirQueueSlots) {
+  // The NIC moves posted sends out of the queue onto the wire, but each
+  // keeps its send-queue slot until its completion: with the engine run
+  // between posts, the QP still accepts exactly max_send_wr outstanding
+  // sends, and frees slots only as completions arrive.
+  Engine engine;
+  sim::CorePool cores_a(engine, 4);
+  sim::CorePool cores_b(engine, 4);
+  net::DuplexLink link(engine, net::LinkSpec{}, "rig");
+  DeviceAttr attr;
+  attr.max_send_wr = 8;
+  Device dev_a(engine, cores_a, attr, "a");
+  Device dev_b(engine, cores_b, attr, "b");
+  CompletionQueue a_scq(engine, 64), a_rcq(engine, 64);
+  CompletionQueue b_scq(engine, 64), b_rcq(engine, 64);
+  QueuePair& qp_a = dev_a.create_qp(&a_scq, &a_rcq);
+  QueuePair& qp_b = dev_b.create_qp(&b_scq, &b_rcq);
+  connect(qp_a, qp_b, link.forward, link.backward);
+
+  constexpr std::size_t kBytes = 64;
+  std::vector<std::byte> src(kBytes);
+  std::vector<std::byte> dst(kBytes * 64);
+  MemoryRegion* src_mr = nullptr;
+  MemoryRegion* dst_mr = nullptr;
+  engine.spawn(
+      [](Device& a, Device& b, std::span<std::byte> src, std::span<std::byte> dst,
+         MemoryRegion** src_mr, MemoryRegion** dst_mr) -> Task<void> {
+        *src_mr = co_await a.pd().register_memory(src);
+        *dst_mr = co_await b.pd().register_memory(dst);
+      }(dev_a, dev_b, src, dst, &src_mr, &dst_mr),
+      "reg");
+  engine.run();
+  for (std::size_t i = 0; i < 64; ++i) {
+    WorkRequest recv;
+    recv.mr = dst_mr;
+    recv.offset = i * kBytes;
+    recv.length = kBytes;
+    ASSERT_TRUE(qp_b.post_recv(recv).is_ok());
+  }
+
+  WorkRequest send;
+  send.mr = src_mr;
+  send.length = kBytes;
+  const auto post_until_full = [&] {
+    std::uint32_t posted = 0;
+    Status st = Status::ok();
+    while ((st = qp_a.post_send(send)).is_ok()) {
+      ++posted;
+      // Let the NIC take each send onto the wire before the next post.
+      engine.run_until(engine.now() + 200);
+    }
+    EXPECT_EQ(st.code(), ErrorCode::kResourceExhausted);
+    return posted;
+  };
+  EXPECT_EQ(post_until_full(), attr.max_send_wr);
+  // Not one send has completed yet: every slot is still taken.
+  EXPECT_EQ(a_scq.depth(), 0u);
+  EXPECT_EQ(qp_a.post_send(send).code(), ErrorCode::kResourceExhausted);
+
+  // Once the completions arrive, the slots are free again.
+  engine.run();
+  EXPECT_EQ(a_scq.depth(), attr.max_send_wr);
+  EXPECT_EQ(post_until_full(), attr.max_send_wr);
+  qp_a.close();
+  qp_b.close();
+  engine.run();
 }
 
 TEST(QueuePair, RecvQueueExhaustionIsReported) {
@@ -380,6 +447,126 @@ TEST(CompletionQueueOverrunDeath, AbortModeRestoresFailStop) {
         rig.engine.run();
       },
       "completion queue overrun");
+}
+
+// ----- streaming sends -------------------------------------------------------
+
+// Posts `n` sends of `msg_bytes` back to back (message i filled with i + 1)
+// into `n` posted receives, then collects every completion. Records when
+// the last message was placed at the receiver.
+struct StreamResult {
+  std::vector<Completion> sends;
+  std::vector<Completion> recvs;
+  std::vector<std::byte> dst;
+  SimTime posted_at = 0;
+  SimTime last_placed = 0;
+};
+
+Task<void> stream_sends(Rig& rig, int n, std::size_t msg_bytes,
+                        StreamResult* out) {
+  std::vector<std::byte> src(static_cast<std::size_t>(n) * msg_bytes);
+  out->dst.assign(src.size(), std::byte{0});
+  for (int i = 0; i < n; ++i) {
+    std::memset(src.data() + static_cast<std::size_t>(i) * msg_bytes, i + 1,
+                msg_bytes);
+  }
+  MemoryRegion* src_mr = co_await rig.dev_a.pd().register_memory(src);
+  MemoryRegion* dst_mr = co_await rig.dev_b.pd().register_memory(out->dst);
+  for (int i = 0; i < n; ++i) {
+    WorkRequest recv;
+    recv.wr_id = static_cast<std::uint64_t>(i);
+    recv.mr = dst_mr;
+    recv.offset = static_cast<std::size_t>(i) * msg_bytes;
+    recv.length = msg_bytes;
+    EXPECT_TRUE(rig.qp_b->post_recv(recv).is_ok());
+  }
+  out->posted_at = rig.engine.now();
+  for (int i = 0; i < n; ++i) {
+    WorkRequest send;
+    send.wr_id = static_cast<std::uint64_t>(100 + i);
+    send.mr = src_mr;
+    send.offset = static_cast<std::size_t>(i) * msg_bytes;
+    send.length = msg_bytes;
+    EXPECT_TRUE(rig.qp_a->post_send(send).is_ok());
+  }
+  for (int i = 0; i < n; ++i) out->recvs.push_back(co_await rig.b_rcq.next());
+  out->last_placed = rig.engine.now();
+  for (int i = 0; i < n; ++i) out->sends.push_back(co_await rig.a_scq.next());
+  rig.qp_a->close();
+  rig.qp_b->close();
+}
+
+void expect_in_post_order(const StreamResult& result, int n) {
+  ASSERT_EQ(result.sends.size(), static_cast<std::size_t>(n));
+  ASSERT_EQ(result.recvs.size(), static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    const auto idx = static_cast<std::size_t>(i);
+    EXPECT_TRUE(result.sends[idx].ok()) << "send " << i;
+    EXPECT_EQ(result.sends[idx].wr_id, static_cast<std::uint64_t>(100 + i));
+    EXPECT_EQ(result.recvs[idx].wr_id, static_cast<std::uint64_t>(i));
+  }
+}
+
+TEST(Streaming, BackToBackSendsPayOnePropagationDelay) {
+  // Each work request occupies the wire for its serialization plus the
+  // per-WR NIC time; the next one starts the moment it leaves, so the
+  // 5 us propagation is paid once for the whole stream, not per message.
+  Rig rig;
+  constexpr int kSends = 8;
+  constexpr std::size_t kBytes = 16 * 1024;
+  StreamResult result;
+  rig.engine.spawn(stream_sends(rig, kSends, kBytes, &result), "driver");
+  rig.engine.run();
+  rig.engine.check_all_complete();
+  expect_in_post_order(result, kSends);
+
+  const SimDuration wire = rig.link.forward.serialization_time(kBytes) +
+                           rig.dev_a.attr().per_wr_nic_overhead;
+  const SimDuration propagation = rig.link.forward.spec().propagation_delay;
+  EXPECT_EQ(result.last_placed - result.posted_at,
+            kSends * wire + propagation);
+  EXPECT_LT(result.last_placed - result.posted_at,
+            kSends * (wire + propagation));
+  EXPECT_EQ(rig.link.forward.busy_time(), kSends * wire);
+  for (int i = 0; i < kSends; ++i) {
+    EXPECT_EQ(static_cast<int>(result.dst[static_cast<std::size_t>(i) * kBytes]),
+              i + 1);
+  }
+}
+
+TEST(Streaming, DropsAndCorruptionsNeverReorderDeliveries) {
+  // A dropped send is retransmitted before any later send is placed, so
+  // receive buffer i always holds message i and completions stay in post
+  // order on both sides.
+  Rig rig;
+  sim::FaultPlan plan;
+  plan.seed = 7;
+  plan.link.drop_prob = 0.3;
+  plan.link.corrupt_prob = 0.2;
+  sim::FaultInjector injector(rig.engine, plan);
+  rig.qp_a->attach_fault_injector(&injector, /*link_id=*/0);
+
+  constexpr int kSends = 24;
+  constexpr std::size_t kBytes = 4096;
+  StreamResult result;
+  rig.engine.spawn(stream_sends(rig, kSends, kBytes, &result), "driver");
+  rig.engine.run();
+  rig.engine.check_all_complete();
+  expect_in_post_order(result, kSends);
+
+  const sim::FaultCounters& faults = injector.counters();
+  EXPECT_GT(faults.messages_dropped, 0u);
+  EXPECT_GT(faults.messages_corrupted, 0u);
+  EXPECT_EQ(rig.qp_a->retransmissions(), faults.messages_dropped);
+  // Corruption flips bytes of the one message it hits; every other buffer
+  // holds exactly its own message.
+  std::uint64_t damaged = 0;
+  for (int i = 0; i < kSends; ++i) {
+    const std::byte* got = result.dst.data() + static_cast<std::size_t>(i) * kBytes;
+    const std::vector<std::byte> want(kBytes, static_cast<std::byte>(i + 1));
+    if (std::memcmp(got, want.data(), kBytes) != 0) ++damaged;
+  }
+  EXPECT_EQ(damaged, faults.messages_corrupted);
 }
 
 TEST(Throughput, LargeMessagesApproachWireSpeed) {
