@@ -25,6 +25,7 @@
 #include "common/assert.h"
 #include "join/page_pool.h"
 #include "join/radix.h"
+#include "join/staged.h"
 #include "rel/relation.h"
 
 namespace cj::cyclo {
@@ -117,6 +118,20 @@ class ChunkWriter {
 
   /// Chunks arbitrary tuples (nested-loops fallback).
   ChunkSlab from_raw(std::span<const rel::Tuple> tuples, int origin_host) const;
+
+  // The same three as stages of `job` (join/staged.h): one serial dry pass
+  // that lays the chunks out and sizes the slab, then the chunk copies by
+  // chunk range, one range per task. They read their input only when the
+  // job runs, so they may follow the stages that produce (or allocate) it;
+  // the input and `out` must stay valid until the job ran. The one-shot
+  // calls above run these inline; the slab bytes are the same for every
+  // task count.
+  void from_partitioned(const join::PartitionedData& data, int origin_host,
+                        join::StagedJob& job, ChunkSlab* out) const;
+  void from_sorted(const join::PoolArray<rel::Tuple>& sorted, int origin_host,
+                   join::StagedJob& job, ChunkSlab* out) const;
+  void from_raw(std::span<const rel::Tuple> tuples, int origin_host,
+                join::StagedJob& job, ChunkSlab* out) const;
 
   /// Largest tuple count that fits one chunk with `runs` directory entries.
   std::size_t tuples_per_chunk(std::size_t runs) const;

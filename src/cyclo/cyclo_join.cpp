@@ -44,6 +44,7 @@
 #include "join/join_result.h"
 #include "join/nested_loops.h"
 #include "join/sort_merge.h"
+#include "join/staged.h"
 #include "obs/analysis.h"
 #include "obs/flight.h"
 #include "obs/sampler.h"
@@ -99,7 +100,7 @@ struct HostPlan {
   std::span<const rel::Tuple> r_view;
   rel::Relation r_own;  ///< run_fragments only; freed after setup
   std::vector<QueryState> queries;
-  ChunkSlab slab;  // filled by the rotating-side setup closure
+  ChunkSlab slab;  // filled by the rotating-side setup job
 };
 
 /// The validated, distributed run: what every backend executes.
@@ -333,27 +334,26 @@ std::vector<std::vector<std::byte>> build_replica_records(
   return records;
 }
 
-/// The closure that prepares one query's stationary state from its
-/// s_view (hash build or sort, per algorithm; nested loops joins s_view as
-/// it is). s_view must stay valid until the closure ran.
-std::function<void()> stationary_setup(const JoinSpec& spec, int radix_bits,
-                                       QueryState* state) {
-  const join::RadixConfig radix = spec.radix;
+/// The staged job (join/staged.h) that prepares one query's stationary
+/// state from its s_view, `tasks` tasks per stage: hash build or sort, per
+/// algorithm (nested loops joins s_view as it is, so its job is empty).
+/// s_view must stay valid until the job ran.
+std::shared_ptr<join::StagedJob> stationary_job(const JoinSpec& spec,
+                                                int radix_bits,
+                                                QueryState* state, int tasks) {
+  auto job = std::make_shared<join::StagedJob>(tasks);
   switch (spec.algorithm) {
     case Algorithm::kHashJoin:
-      return [state, radix_bits, radix] {
-        state->hash =
-            join::HashJoinStationary::build(state->s_view, radix_bits, radix);
-      };
+      join::HashJoinStationary::build(state->s_view, radix_bits, spec.radix,
+                                      *job, &state->hash.emplace());
+      break;
     case Algorithm::kSortMergeJoin:
-      return [state] {
-        state->s_sorted = join::PoolArray<rel::Tuple>(state->s_view.size());
-        join::sort_into(state->s_view, state->s_sorted);
-      };
+      join::sort_into(state->s_view, &state->s_sorted, *job);
+      break;
     case Algorithm::kNestedLoops:
-      return [] {};
+      break;
   }
-  return {};
+  return job;
 }
 
 /// Splits [0, n) into `parts` near-even contiguous ranges.
@@ -410,45 +410,52 @@ std::vector<std::vector<ProbeSlice>> split_probe_work(
   return groups;
 }
 
-/// Builds host `origin`'s setup-phase closures: one for the rotating slab,
-/// then one per query's stationary fragment. The caller schedules each on
-/// a core (tag "setup"). `host` must stay at a stable address until every
-/// closure has run.
+/// Builds host `origin`'s setup-phase jobs, `tasks` tasks per stage: one
+/// for the rotating slab (reorganize R_i, then chunk it), then one per
+/// query's stationary fragment. The caller runs them side by side on the
+/// host's cores (tag "setup"). `host` must stay at a stable address until
+/// every job has run.
 ///
-/// The rotating side comes first so that, on a host whose setup runs one
-/// closure at a time, its scratch copy (clustered or sorted R_i) is back in
-/// the page pool before the stationary side allocates. The host's pool
-/// demand then only grows during setup and peaks when it ends, so every
-/// host's peak coincides at the setup barrier whatever the interleaving of
-/// hosts: a repeated run finds a parked block for every buffer.
-std::vector<std::function<void()>> setup_closures(
-    const JoinSpec& spec, int radix_bits, ChunkWriter writer, int origin,
-    HostPlan* host) {
-  std::vector<std::function<void()>> out;
-  const join::RadixConfig radix = spec.radix;
+/// Page-pool demand. The rotating job returns its scratch copy (clustered
+/// or sorted R_i) to the pool as soon as the slab is written, and every
+/// kernel allocates inside its job in the order of its inline version.
+/// Where the jobs' work really runs one job after another — one task per
+/// stage, or any simulated host (CorePool::run_stages runs a job's tasks
+/// back to back) — the scratch copy is back in the pool before the
+/// stationary side allocates: the host's demand only grows during setup
+/// and peaks when it ends, so every host's peak coincides at the setup
+/// barrier whatever the interleaving of hosts, and a repeated run finds a
+/// parked block for every buffer. On rt with several cores the jobs run
+/// side by side for real, and a host holds one more fragment-sized buffer
+/// at its peak.
+std::vector<std::shared_ptr<join::StagedJob>> setup_jobs(
+    const JoinSpec& spec, int radix_bits, const ChunkWriter& writer, int origin,
+    HostPlan* host, int tasks) {
+  std::vector<std::shared_ptr<join::StagedJob>> out;
+  auto job = std::make_shared<join::StagedJob>(tasks);
   switch (spec.algorithm) {
-    case Algorithm::kHashJoin:
-      out.push_back([host, writer, origin, radix_bits, radix] {
-        join::PartitionedData r_parts = join::radix_cluster(
-            host->r_view, radix_bits, radix.bits_per_pass, radix.kernel);
-        host->slab = writer.from_partitioned(r_parts, origin);
-      });
+    case Algorithm::kHashJoin: {
+      auto r_parts = std::make_shared<join::PartitionedData>();
+      join::radix_cluster(host->r_view, radix_bits, spec.radix.bits_per_pass,
+                          *job, r_parts.get());
+      writer.from_partitioned(*r_parts, origin, *job, &host->slab);
+      job->add_serial([r_parts] { *r_parts = join::PartitionedData(); });
       break;
-    case Algorithm::kSortMergeJoin:
-      out.push_back([host, writer, origin] {
-        join::PoolArray<rel::Tuple> r_sorted(host->r_view.size());
-        join::sort_into(host->r_view, r_sorted);
-        host->slab = writer.from_sorted(r_sorted, origin);
-      });
+    }
+    case Algorithm::kSortMergeJoin: {
+      auto r_sorted = std::make_shared<join::PoolArray<rel::Tuple>>();
+      join::sort_into(host->r_view, r_sorted.get(), *job);
+      writer.from_sorted(*r_sorted, origin, *job, &host->slab);
+      job->add_serial([r_sorted] { *r_sorted = join::PoolArray<rel::Tuple>(); });
       break;
+    }
     case Algorithm::kNestedLoops:
-      out.push_back([host, writer, origin] {
-        host->slab = writer.from_raw(host->r_view, origin);
-      });
+      writer.from_raw(host->r_view, origin, *job, &host->slab);
       break;
   }
+  out.push_back(std::move(job));
   for (auto& query : host->queries) {
-    out.push_back(stationary_setup(spec, radix_bits, &query));
+    out.push_back(stationary_job(spec, radix_bits, &query, tasks));
   }
   return out;
 }
@@ -595,8 +602,9 @@ class LookAhead {
 
 // ===== the runner ===========================================================
 
-/// Core-busy tags: untagged join work, and joins against an adopted
-/// partition.
+/// Core-busy tags: setup, untagged join work, and the promotion of and
+/// joins against an adopted partition.
+const std::string kSetupTag = "setup";
 const std::string kJoinTag = "join";
 const std::string kAdoptTag = "adopt";
 
@@ -717,24 +725,25 @@ class Runner final : public detail::CrashHandler {
 
     // ---- setup phase -------------------------------------------------
     // Every query's stationary state plus the rotating slab, prepared on
-    // this host's cores: one task per stationary fragment, one for the
-    // rotating side, all competing for the cores like the paper's parallel
-    // hash-build/sort setup. Resilient frames travel in-buffer ahead of the
-    // payload, so chunks leave them headroom (or a full chunk would overflow
-    // the ring buffer); with replication on, chunks additionally ride inside
-    // replica records and leave room for the record header too.
+    // all of this host's cores: one staged job per side (join/staged.h),
+    // each stage split into one task per core, and the jobs run side by
+    // side, like the paper's parallel hash-build/sort setup. Resilient
+    // frames travel in-buffer ahead of the payload, so chunks leave them
+    // headroom (or a full chunk would overflow the ring buffer); with
+    // replication on, chunks additionally ride inside replica records and
+    // leave room for the record header too.
     const SimTime setup_start = engine.now();
     if (obs::Tracer* t = engine.tracer()) t->begin(setup_start, i, "phase", "setup");
     {
       const ChunkWriter writer(
           cfg_.node.buffer_bytes - (plan_.resilient ? ring::kFrameBytes : 0) -
           (plan_.replicate ? sizeof(ReplicaHeader) : 0));
-      std::vector<sim::Task<void>> tasks;
-      for (auto& fn :
-           setup_closures(spec_, plan_.radix_bits, writer, i, host.plan)) {
-        tasks.push_back(cores.run(profiled(i, std::move(fn)), "setup"));
+      std::vector<sim::Task<void>> jobs;
+      for (auto& job : setup_jobs(spec_, plan_.radix_bits, writer, i,
+                                  host.plan, cfg_.cores_per_host)) {
+        jobs.push_back(run_job(i, std::move(job), kSetupTag, "core"));
       }
-      co_await sim::when_all(engine, std::move(tasks));
+      co_await sim::when_all(engine, std::move(jobs));
     }
     flush_profile(engine);
     if (obs::Tracer* t = engine.tracer()) t->end(engine.now(), i, "phase");
@@ -952,6 +961,29 @@ class Runner final : public detail::CrashHandler {
       obs::prof::ScopedContext ctx(profiler_.get(), i, phase);
       fn();
     };
+  }
+
+  // Runs a staged setup job on host i's cores, billed to `tag`
+  // (CorePool::run_stages). A one-task job runs whole as one core task:
+  // its stages are sequential anyway, and one dispatch costs less than one
+  // per stage.
+  sim::Task<void> run_job(int i, std::shared_ptr<join::StagedJob> job,
+                          std::string tag, const char* phase) {
+    if (job->stages() == 0) co_return;
+    // The awaited tasks are built in locals: GCC 12 destroys temporaries of
+    // an awaited expression twice.
+    if (job->tasks() == 1) {
+      sim::Task<void> whole =
+          cores(i).run(profiled(i, [job] { job->run_inline(); }, phase), tag);
+      co_await std::move(whole);
+      co_return;
+    }
+    sim::Task<void> staged = cores(i).run_stages(
+        [this, i, job, phase](std::size_t stage, int t) {
+          profiled(i, [&] { job->run(stage, t); }, phase)();
+        },
+        job->stages(), job->tasks(), std::move(tag));
+    co_await std::move(staged);
   }
 
   // Streams the profile's changed counter tracks into the trace. Must be
@@ -1275,19 +1307,19 @@ class Runner final : public detail::CrashHandler {
     //    re-sort on this host's cores; a query the dead host had no S rows
     //    for yields an empty partition). The join loop parks until ready.
     host.adopted.resize(queries_.size());
-    std::vector<sim::Task<void>> tasks;
+    std::vector<sim::Task<void>> jobs;
     for (std::size_t q = 0; q < queries_.size(); ++q) {
       QueryState& state = host.adopted[q];
       state.band = queries_[q].band;
       state.predicate = &queries_[q].predicate;
       state.result = join::JoinResult(spec_.materialize);
       if (q < store.s_tuples.size()) state.s_view = store.s_tuples[q];
-      tasks.push_back(cores(a).run(
-          profiled(a, stationary_setup(spec_, plan_.radix_bits, &state),
-                   "adopt"),
-          kAdoptTag));
+      jobs.push_back(run_job(a,
+                             stationary_job(spec_, plan_.radix_bits, &state,
+                                            cfg_.cores_per_host),
+                             kAdoptTag, "adopt"));
     }
-    co_await sim::when_all(engine, std::move(tasks));
+    co_await sim::when_all(engine, std::move(jobs));
     flush_profile(engine);
     host.adoption_ready->set();
     if (t != nullptr) t->end(engine.now(), a, "adopt");

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <memory>
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <emmintrin.h>
@@ -366,8 +367,19 @@ void PartitionHashTable::probe(std::span<const rel::Tuple> r_run,
 HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
                                              int radix_bits,
                                              const RadixConfig& config) {
-  const KernelConfig& kernel = config.kernel;
   HashJoinStationary out;
+  StagedJob job(1);
+  build(s, radix_bits, config, job, &out);
+  job.run_inline();
+  return out;
+}
+
+void HashJoinStationary::build(std::span<const rel::Tuple> s, int radix_bits,
+                               const RadixConfig& config, StagedJob& job,
+                               HashJoinStationary* out) {
+  CJ_CHECK(out != nullptr);
+  const KernelConfig kernel = config.kernel;
+  const int tasks = job.tasks();
   const std::size_t n = s.size();
 
   // Fused setup for large builds: one extended-fanout
@@ -399,104 +411,151 @@ HashJoinStationary HashJoinStationary::build(std::span<const rel::Tuple> s,
     }
   }
 
-  // Carves one backing range per partition table out of a single shared
-  // slab (see join/page_pool.h) and returns the per-partition base pointers;
-  // the slab itself moves into out.table_slab_.
-  const auto carve_slab = [&](const PartitionedData& parts)
-      -> std::vector<std::byte*> {
-    const std::uint32_t num_parts = parts.num_partitions();
-    std::vector<std::size_t> bytes(num_parts);
+  // Shared by the stages. `boundaries` is the extended-bucket directory of
+  // the fused path (empty on the two-step path).
+  struct State {
+    std::span<const rel::Tuple> s;
+    int radix_bits = 0;
+    int rb = -1;
+    std::uint32_t fanout = 0;
+    PoolArray<std::uint32_t> hashes;
+    /// Per task, fanout entries: its bucket histogram, then its cursors.
+    std::vector<std::uint32_t> cursor;
+    std::vector<std::uint32_t> boundaries;
+    PoolArray<rel::Tuple> clustered;
+    std::vector<std::size_t> first;   // per task: its partitions, by weight
+  };
+  auto st = std::make_shared<State>();
+  st->s = s;
+  st->radix_bits = radix_bits;
+  st->rb = rb;
+
+  // Spreads the partition tables over the tasks by tuple count. Each task
+  // builds its tables into one backing slab of its own (see
+  // join/page_pool.h), so the first touches of fresh table memory are
+  // spread over the tasks too.
+  const auto split_tables = [st, out, tasks] {
+    out->tables_.resize(out->parts_.num_partitions());
+    out->table_slabs_.resize(static_cast<std::size_t>(tasks));
+    st->first = split_by_weight(out->parts_.offsets(), tasks);
+  };
+  // Carves task t's slab into one range per table of its partitions and
+  // calls build(p, base) for each.
+  const auto build_tables = [st, out](int t, auto&& build) {
+    const std::size_t p0 = st->first[static_cast<std::size_t>(t)];
+    const std::size_t p1 = st->first[static_cast<std::size_t>(t) + 1];
     std::size_t total = 0;
-    for (std::uint32_t p = 0; p < num_parts; ++p) {
-      bytes[p] = PartitionHashTable::table_bytes_for(parts.partition(p).size());
-      total += bytes[p];
+    for (std::size_t p = p0; p < p1; ++p) {
+      total += PartitionHashTable::table_bytes_for(
+          out->parts_.partition(static_cast<std::uint32_t>(p)).size());
     }
-    out.table_slab_ = PoolBuffer(total);
-    std::vector<std::byte*> bases(num_parts);
-    std::byte* cursor = out.table_slab_.data();
-    for (std::uint32_t p = 0; p < num_parts; ++p) {
-      bases[p] = cursor;
-      cursor += bytes[p];
+    PoolBuffer& slab = out->table_slabs_[static_cast<std::size_t>(t)];
+    slab = PoolBuffer(total);
+    std::byte* cursor = slab.data();
+    for (std::size_t p = p0; p < p1; ++p) {
+      build(p, cursor);
+      cursor += PartitionHashTable::table_bytes_for(
+          out->parts_.partition(static_cast<std::uint32_t>(p)).size());
     }
-    return bases;
   };
 
   if (rb < 0) {
-    out.parts_ =
-        radix_cluster(s, radix_bits, config.bits_per_pass, kernel);
-    const std::uint32_t num_parts = out.parts_.num_partitions();
-    out.tables_.resize(num_parts);
-    const std::vector<std::byte*> bases = carve_slab(out.parts_);
-    for (std::uint32_t p = 0; p < num_parts; ++p) {
-      out.tables_[p].build_direct(out.parts_.partition(p), radix_bits, kernel,
-                                  bases[p]);
-    }
-    return out;
+    radix_cluster(s, radix_bits, config.bits_per_pass, job, &out->parts_);
+    job.add_serial(split_tables);
+    job.add_stage([st, out, kernel, build_tables](int t) {
+      build_tables(t, [&](std::size_t p, std::byte* base) {
+        out->tables_[p].build_direct(
+            out->parts_.partition(static_cast<std::uint32_t>(p)), st->radix_bits,
+            kernel, base);
+      });
+    });
+    return;
   }
 
   const std::uint32_t num_parts = 1U << radix_bits;
-  const std::uint32_t regions = 1U << rb;
-  const std::uint32_t fanout = num_parts << rb;
-  const std::uint32_t pmask = num_parts - 1;
+  st->fanout = num_parts << rb;
+  st->cursor.assign(static_cast<std::size_t>(tasks) * st->fanout, 0);
+  // Buffers are allocated inside the job, in the order of the inline
+  // build, so a one-task job's page-pool demand matches it exactly.
+  job.add_serial([st] {
+    st->clustered = PoolArray<rel::Tuple>(st->s.size());
+    st->hashes = PoolArray<std::uint32_t>(st->s.size());
+  });
   // Extended bucket: partition id (low hash bits) majored over the region
   // id — the top rb bits of the *remixed* group-index key, so within a
   // partition the buckets are exactly the contiguous group-range regions
   // that group_index (monotone in the remixed key) assigns.
+  const std::uint32_t pmask = num_parts - 1;
   const int xw = 32 - radix_bits;  // usable width of the remixed key
-  const auto bucket_of = [&](std::uint32_t h) {
+  const auto bucket_of = [pmask, rb, xw, radix_bits](std::uint32_t h) {
     const std::uint32_t p = h & pmask;
     if (rb == 0) return p;
     const std::uint32_t x = PartitionHashTable::remix(h, radix_bits);
     return (p << rb) | (x >> (xw - rb));
   };
 
-  std::vector<std::uint32_t> boundaries(static_cast<std::size_t>(fanout) + 1);
-  PoolArray<rel::Tuple> clustered(n);
-  {
-    obs::prof::ScopedProfile pass_prof(obs::prof::current(), "radix_pass1", n);
-    PoolArray<std::uint32_t> hashes(n);
-    std::vector<std::uint32_t> counts(fanout, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::uint32_t h = hash_key(s[i].key);
+  // 1. Hash once and count buckets, per input slice.
+  job.add_stage([st, tasks, bucket_of](int t) {
+    const auto [b, e] = task_slice(st->s.size(), t, tasks);
+    obs::prof::ScopedProfile pass_prof(obs::prof::current(), "radix_pass1", e - b);
+    const rel::Tuple* in = st->s.data();
+    std::uint32_t* hashes = st->hashes.data();
+    std::uint32_t* counts =
+        st->cursor.data() + static_cast<std::size_t>(t) * st->fanout;
+    for (std::size_t i = b; i < e; ++i) {
+      const std::uint32_t h = hash_key(in[i].key);
       hashes[i] = h;
       ++counts[bucket_of(h)];
     }
-    std::vector<std::uint32_t> cursor(fanout);
-    std::uint32_t acc = 0;
-    for (std::uint32_t b = 0; b < fanout; ++b) {
-      cursor[b] = acc;
-      acc += counts[b];
-      boundaries[b + 1] = acc;
-    }
-    std::vector<std::uint32_t> fill(fanout, 0);
-    std::vector<rel::Tuple> stage(static_cast<std::size_t>(fanout) *
-                                  detail::kStageCap);
+  });
+  // Bucket directory and per-task cursors.
+  job.add_serial([st, tasks] {
+    st->boundaries = prefix_cursors(st->cursor, st->fanout, tasks);
+  });
+  // 2. The write-combining scatter per slice.
+  job.add_stage([st, tasks, bucket_of](int t) {
+    const auto [b, e] = task_slice(st->s.size(), t, tasks);
+    obs::prof::ScopedProfile pass_prof(obs::prof::current(), "radix_pass1");
+    const std::uint32_t fanout = st->fanout;
+    const rel::Tuple* in = st->s.data();
+    const std::uint32_t* hashes = st->hashes.data();
+    std::vector<std::uint32_t> cursor(
+        st->cursor.begin() + static_cast<std::ptrdiff_t>(t) * fanout,
+        st->cursor.begin() + static_cast<std::ptrdiff_t>(t + 1) * fanout);
+    detail::ScatterBuffers<rel::Tuple> buf(/*staged=*/true, fanout);
     detail::scatter_range<rel::Tuple>(
-        0, n, /*staged=*/true, fanout, cursor, fill, stage, clustered.data(),
+        b, e, /*staged=*/true, fanout, cursor, buf.fill, buf.stage,
+        st->clustered.data(),
         [&](std::size_t i) { return bucket_of(hashes[i]); },
-        [&](std::size_t i) { return s[i]; });
-  }
-
-  // Partition directory at partition granularity; tuple order within a
+        [&](std::size_t i) { return in[i]; });
+  });
+  // The partition directory at partition granularity: tuple order within a
   // partition is region-major, which PartitionedData's contract allows.
-  std::vector<std::uint32_t> offsets(static_cast<std::size_t>(num_parts) + 1);
-  for (std::uint32_t p = 0; p < num_parts; ++p) {
-    offsets[p] = boundaries[static_cast<std::size_t>(p) << rb];
-  }
-  offsets[num_parts] = static_cast<std::uint32_t>(n);
-  out.parts_ =
-      PartitionedData(std::move(clustered), std::move(offsets), radix_bits);
-
-  out.tables_.resize(num_parts);
-  const std::vector<std::byte*> bases = carve_slab(out.parts_);
-  for (std::uint32_t p = 0; p < num_parts; ++p) {
-    const auto region_offsets =
-        std::span<const std::uint32_t>(boundaries)
-            .subspan(static_cast<std::size_t>(p) << rb, regions + 1);
-    out.tables_[p].build_staged(out.parts_.partition(p), region_offsets,
-                                radix_bits, kernel, bases[p]);
-  }
-  return out;
+  job.add_serial([st, out, split_tables] {
+    st->hashes = PoolArray<std::uint32_t>();
+    st->cursor = {};
+    const std::uint32_t num_parts = 1U << st->radix_bits;
+    std::vector<std::uint32_t> offsets(static_cast<std::size_t>(num_parts) + 1);
+    for (std::uint32_t p = 0; p < num_parts; ++p) {
+      offsets[p] = st->boundaries[static_cast<std::size_t>(p) << st->rb];
+    }
+    offsets[num_parts] = static_cast<std::uint32_t>(st->s.size());
+    out->parts_ = PartitionedData(std::move(st->clustered), std::move(offsets),
+                                  st->radix_bits);
+    split_tables();
+  });
+  // 3. The staged table builds, per range of partitions.
+  job.add_stage([st, out, kernel, build_tables](int t) {
+    const std::uint32_t regions = 1U << st->rb;
+    build_tables(t, [&](std::size_t p, std::byte* base) {
+      const auto region_offsets =
+          std::span<const std::uint32_t>(st->boundaries)
+              .subspan(p << st->rb, regions + 1);
+      out->tables_[p].build_staged(
+          out->parts_.partition(static_cast<std::uint32_t>(p)), region_offsets,
+          st->radix_bits, kernel, base);
+    });
+  });
 }
 
 std::size_t HashJoinStationary::bytes() const {

@@ -29,6 +29,7 @@
 #include "join/radix.h"
 #include "join/page_pool.h"
 #include "join/simd.h"
+#include "join/staged.h"
 #include "rel/relation.h"
 
 namespace cj::join {
@@ -248,9 +249,20 @@ class SingleTableHashJoin {
 class HashJoinStationary {
  public:
   /// Clusters `s` into 2^radix_bits partitions and builds the tables.
-  /// config.kernel selects the tables' SIMD tier.
+  /// config.kernel selects the tables' SIMD tier. Runs the staged build's
+  /// stages inline as one task.
   static HashJoinStationary build(std::span<const rel::Tuple> s, int radix_bits,
                                   const RadixConfig& config = {});
+
+  /// build() as stages of `job` (join/staged.h): the clustering (the
+  /// fused pass's hashing and histogram per input slice, then its scatter
+  /// per slice; or radix_cluster's stages), then the per-partition table
+  /// builds, spread over the tasks by tuple count. Fills `*out`; the
+  /// result is the same for every task count. `s` and `out` must stay
+  /// valid until the job ran.
+  static void build(std::span<const rel::Tuple> s, int radix_bits,
+                    const RadixConfig& config, StagedJob& job,
+                    HashJoinStationary* out);
 
   int radix_bits() const { return parts_.bits(); }
   std::uint32_t num_partitions() const { return parts_.num_partitions(); }
@@ -272,12 +284,14 @@ class HashJoinStationary {
  private:
   PartitionedData parts_;
   std::vector<PartitionHashTable> tables_;
-  /// Shared backing store for every partition's group table: one
-  /// huge-page-advised page-pool block instead of num_partitions small
-  /// allocations, so sub-2MB per-partition tables still share 2 MB pages
-  /// (build faults and probe TLB reach both scale with page count) and a
-  /// rebuild reuses the previous build's pages (see join/page_pool.h).
-  PoolBuffer table_slab_;
+  /// Backing store of the partitions' group tables: one page-pool block
+  /// per build task (one for an inline build), holding the tables of that
+  /// task's partition range, instead of num_partitions small allocations.
+  /// Sub-2MB per-partition tables still share 2 MB pages (build faults and
+  /// probe TLB reach both scale with page count), a rebuild reuses the
+  /// previous build's pages (see join/page_pool.h), and each task
+  /// first-touches only its own block.
+  std::vector<PoolBuffer> table_slabs_;
 };
 
 }  // namespace cj::join

@@ -14,6 +14,7 @@
 #include "common/assert.h"
 #include "join/kernel_config.h"
 #include "join/page_pool.h"
+#include "join/staged.h"
 #include "rel/relation.h"
 
 namespace cj::join {
@@ -92,7 +93,16 @@ class PartitionedData {
 /// the software-buffered scatter (docs/KERNELS.md). Tuple order *within* a
 /// partition may differ between pass shapes. `kernel` is accepted for
 /// symmetry with the other setup calls; clustering has no SIMD tier.
+/// Runs radix_cluster's stages inline as one task.
 PartitionedData radix_cluster(std::span<const rel::Tuple> input, int total_bits,
                               int bits_per_pass, const KernelConfig& kernel = {});
+
+/// radix_cluster as stages of `job` (join/staged.h): the first pass's
+/// histogram per input slice, its scatter per slice, then every later pass
+/// per range of first-pass partitions (split by tuple count). Writes the
+/// result to `*out` when the last stage ends; the output is the same for
+/// every task count. `input` and `out` must stay valid until the job ran.
+void radix_cluster(std::span<const rel::Tuple> input, int total_bits,
+                   int bits_per_pass, StagedJob& job, PartitionedData* out);
 
 }  // namespace cj::join

@@ -26,6 +26,21 @@ constexpr std::uint32_t kStageCap = 16;
 /// stores already combine in the cache; staging would only add copies.
 constexpr std::uint32_t kMinBufferedFanout = 16;
 
+/// The staging state of one scatter_range caller: zeroed fill counts and
+/// the staging area, both empty when the scatter is not staged.
+template <typename Entry>
+struct ScatterBuffers {
+  std::vector<std::uint32_t> fill;
+  std::vector<Entry> stage;
+
+  ScatterBuffers(bool staged, std::uint32_t fanout) {
+    if (staged) {
+      fill.assign(fanout, 0);
+      stage.resize(static_cast<std::size_t>(fanout) * kStageCap);
+    }
+  }
+};
+
 /// Scatters `[begin, end)` source positions to `dst`, each to the write
 /// cursor of its destination slice. With `staged`, entries accumulate in a
 /// kStageCap-deep staging buffer per slice and move to `dst` in bulk

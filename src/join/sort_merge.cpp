@@ -4,11 +4,14 @@
 #include <array>
 #include <bit>
 #include <cstring>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "common/assert.h"
 #include "join/page_pool.h"
 #include "join/sort_merge_simd.h"
+#include "join/staged.h"
 #include "obs/prof.h"
 
 namespace cj::join {
@@ -150,54 +153,148 @@ void sort_cluster(rel::Tuple* t, std::size_t n, std::uint32_t base,
   if (src != t) std::memcpy(t, src, n * sizeof(rel::Tuple));
 }
 
+/// sort_into's stages, into `out`, or with `owner` into a buffer allocated
+/// there once the key range is known.
+void add_sort_stages(std::span<const rel::Tuple> in, std::span<rel::Tuple> out,
+                     PoolArray<rel::Tuple>* owner, StagedJob& job) {
+  const int tasks = job.tasks();
+  const auto T = static_cast<std::size_t>(tasks);
+
+  // Shared by the stages; every field is written by one task or by a serial
+  // step and read only by later stages.
+  struct State {
+    std::span<const rel::Tuple> in;
+    std::span<rel::Tuple> out;
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> range;  // per task
+    std::uint32_t lo = 0;
+    int shift = 0;
+    std::size_t clusters = 0;  // 0: nothing to sort
+    /// Per task, clusters counters: the task's cluster histogram, then its
+    /// write cursor per cluster.
+    std::vector<std::size_t> cursor;
+    std::vector<std::size_t> bounds;  // clusters + 1 offsets into out
+    std::vector<std::size_t> first;   // per task: its clusters, by weight
+  };
+  auto st = std::make_shared<State>();
+  st->in = in;
+  st->out = out;
+  st->range.resize(T);
+
+  // 1. Key range, per slice; then the MSD geometry. A fragment of at most
+  //    kInsertionMax tuples is one cluster, insertion-sorted in step 4.
+  job.add_stage([st, tasks](int t) {
+    const auto [b, e] = task_slice(st->in.size(), t, tasks);
+    obs::prof::ScopedProfile prof(obs::prof::current(), "sort", e - b);
+    if (b == e) return;
+    std::uint32_t lo = st->in[b].key;
+    std::uint32_t hi = lo;
+    const rel::Tuple* in = st->in.data();
+    for (std::size_t i = b; i < e; ++i) {
+      lo = std::min(lo, in[i].key);
+      hi = std::max(hi, in[i].key);
+    }
+    st->range[static_cast<std::size_t>(t)] = {lo, hi};
+  });
+  job.add_serial([st, owner, tasks, T] {
+    const std::size_t n = st->in.size();
+    if (owner != nullptr) {
+      *owner = PoolArray<rel::Tuple>(n);
+      st->out = *owner;
+    }
+    if (n == 0) return;
+    std::uint32_t lo = 0xFFFFFFFFU;
+    std::uint32_t hi = 0;
+    for (int t = 0; t < tasks; ++t) {
+      const auto [b, e] = task_slice(n, t, tasks);
+      if (b == e) continue;
+      lo = std::min(lo, st->range[static_cast<std::size_t>(t)].first);
+      hi = std::max(hi, st->range[static_cast<std::size_t>(t)].second);
+    }
+    const int range_bits = std::bit_width(hi - lo);
+    const int msd_bits =
+        n <= kInsertionMax ? 0 : std::min(kMsdBits, range_bits);
+    st->lo = lo;
+    // Up to 32 when one cluster spans the whole range: the cluster index
+    // shifts a 64-bit value.
+    st->shift = range_bits - msd_bits;
+    st->clusters = std::size_t{1} << msd_bits;
+    st->cursor.assign(T * st->clusters, 0);
+  });
+
+  // 2. MSD histogram per slice; then cluster bounds, every task's write
+  //    cursors (slices scatter in task order, so the scatter is stable) and
+  //    the clusters each task sorts.
+  job.add_stage([st, tasks](int t) {
+    if (st->clusters == 0) return;
+    const auto [b, e] = task_slice(st->in.size(), t, tasks);
+    obs::prof::ScopedProfile prof(obs::prof::current(), "sort");
+    std::size_t* count =
+        st->cursor.data() + static_cast<std::size_t>(t) * st->clusters;
+    const std::uint32_t lo = st->lo;
+    const int shift = st->shift;
+    const rel::Tuple* in = st->in.data();
+    for (std::size_t i = b; i < e; ++i) {
+      ++count[std::uint64_t{in[i].key - lo} >> shift];
+    }
+  });
+  job.add_serial([st, tasks] {
+    if (st->clusters == 0) return;
+    st->bounds = prefix_cursors(st->cursor, st->clusters, tasks);
+    st->first = split_by_weight(std::span<const std::size_t>(st->bounds), tasks);
+  });
+
+  // 3. MSD scatter per slice, in -> out.
+  job.add_stage([st, tasks](int t) {
+    if (st->clusters == 0) return;
+    const auto [b, e] = task_slice(st->in.size(), t, tasks);
+    obs::prof::ScopedProfile prof(obs::prof::current(), "sort");
+    std::size_t* next =
+        st->cursor.data() + static_cast<std::size_t>(t) * st->clusters;
+    const std::uint32_t lo = st->lo;
+    const int shift = st->shift;
+    const rel::Tuple* in = st->in.data();
+    rel::Tuple* dst = st->out.data();
+    for (std::size_t i = b; i < e; ++i) {
+      const rel::Tuple& x = in[i];
+      dst[next[std::uint64_t{x.key - lo} >> shift]++] = x;
+    }
+  });
+
+  // 4. Each task sorts its clusters by their remaining `shift` bits (none
+  //    left: every cluster holds one key). The LSD passes borrow one
+  //    scratch buffer per task, sized to the task's largest cluster.
+  job.add_stage([st](int t) {
+    if (st->clusters == 0 || st->shift == 0) return;
+    obs::prof::ScopedProfile prof(obs::prof::current(), "sort");
+    const std::size_t c0 = st->first[static_cast<std::size_t>(t)];
+    const std::size_t c1 = st->first[static_cast<std::size_t>(t) + 1];
+    std::size_t largest = 0;
+    for (std::size_t c = c0; c < c1; ++c) {
+      largest = std::max(largest, st->bounds[c + 1] - st->bounds[c]);
+    }
+    PoolArray<rel::Tuple> scratch(largest > kInsertionMax ? largest : 0);
+    DigitCounts counts{};
+    for (std::size_t c = c0; c < c1; ++c) {
+      sort_cluster(st->out.data() + st->bounds[c],
+                   st->bounds[c + 1] - st->bounds[c], st->lo, scratch.data(),
+                   counts);
+    }
+  });
+}
+
 }  // namespace
+
+void sort_into(std::span<const rel::Tuple> in, PoolArray<rel::Tuple>* out,
+               StagedJob& job) {
+  CJ_CHECK(out != nullptr);
+  add_sort_stages(in, {}, out, job);
+}
 
 void sort_into(std::span<const rel::Tuple> in, std::span<rel::Tuple> out) {
   CJ_CHECK_MSG(in.size() == out.size(), "sort_into needs |out| == |in|");
-  obs::prof::ScopedProfile prof(obs::prof::current(), "sort", in.size());
-  const std::size_t n = in.size();
-  if (n == 0) return;
-  if (n <= kInsertionMax) {
-    std::memcpy(out.data(), in.data(), in.size_bytes());
-    insertion_sort(out.data(), n);
-    return;
-  }
-
-  // 1. Key range.
-  std::uint32_t lo = in[0].key;
-  std::uint32_t hi = in[0].key;
-  for (const rel::Tuple& t : in) {
-    lo = std::min(lo, t.key);
-    hi = std::max(hi, t.key);
-  }
-  const int range_bits = std::bit_width(hi - lo);
-  const int msd_bits = std::min(kMsdBits, range_bits);
-  const int shift = range_bits - msd_bits;
-
-  // 2. MSD counting pass, in -> out.
-  std::array<std::size_t, (std::size_t{1} << kMsdBits) + 1> bounds{};
-  const std::size_t clusters = std::size_t{1} << msd_bits;
-  for (const rel::Tuple& t : in) ++bounds[((t.key - lo) >> shift) + 1];
-  std::size_t largest = 0;
-  for (std::size_t c = 0; c < clusters; ++c) {
-    largest = std::max(largest, bounds[c + 1]);
-    bounds[c + 1] += bounds[c];
-  }
-  {
-    std::array<std::size_t, std::size_t{1} << kMsdBits> next{};
-    std::copy_n(bounds.begin(), clusters, next.begin());
-    rel::Tuple* dst = out.data();
-    for (const rel::Tuple& t : in) dst[next[(t.key - lo) >> shift]++] = t;
-  }
-  if (shift == 0) return;  // every cluster holds one key
-
-  // 3. Each cluster by its remaining `shift` bits.
-  PoolArray<rel::Tuple> scratch(largest > kInsertionMax ? largest : 0);
-  DigitCounts counts{};
-  for (std::size_t c = 0; c < clusters; ++c) {
-    sort_cluster(out.data() + bounds[c], bounds[c + 1] - bounds[c], lo,
-                 scratch.data(), counts);
-  }
+  StagedJob job(1);
+  add_sort_stages(in, out, nullptr, job);
+  job.run_inline();
 }
 
 void sort_fragment(std::span<rel::Tuple> fragment) {

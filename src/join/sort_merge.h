@@ -22,21 +22,34 @@
 
 #include "join/join_result.h"
 #include "join/kernel_config.h"
+#include "join/page_pool.h"
+#include "join/staged.h"
 #include "rel/relation.h"
 
 namespace cj::join {
 
-/// Writes `in` sorted by join key into `out` (setup phase).
-/// `out` must be as large as `in` and must not overlap it. Three steps:
-///   1. one pass finds the key range [min, max];
-///   2. one MSD counting pass scatters `in` into `out` by the top (at most
-///      11) bits of key - min, so every cluster of `out` holds one
-///      contiguous key range;
-///   3. each cluster is sorted in place: a tiny one by insertion sort, a
+/// Writes `in` sorted by join key into `*out`, which the job allocates
+/// (setup phase). Four stages (join/staged.h), each split over the job's
+/// tasks:
+///   1. the key range [min, max], per input slice; then `*out` is
+///      allocated, so a one-task job allocates where an inline sort did;
+///   2. an MSD histogram per slice over the top (at most 11) bits of
+///      key - min;
+///   3. the MSD scatter per slice, `in` into `*out`, so every cluster holds
+///      one contiguous key range (stable: slices scatter in task order);
+///   4. each cluster sorted in place — a tiny one by insertion sort, a
 ///      larger one by LSD counting passes over its remaining bits, skipping
-///      every digit that is constant across the cluster.
-/// The LSD passes borrow one scratch buffer sized to the largest cluster,
-/// never to the input.
+///      every digit that is constant across the cluster — with the clusters
+///      spread over the tasks by tuple count.
+/// The LSD passes borrow one scratch buffer per task sized to its largest
+/// cluster, never to the input. Every sort is stable, so the output is the
+/// same for every task count. `in` and `out` must stay valid until the job
+/// ran.
+void sort_into(std::span<const rel::Tuple> in, PoolArray<rel::Tuple>* out,
+               StagedJob& job);
+
+/// sort_into's stages run inline as one task, into `out`, which must be as
+/// large as `in` and must not overlap it.
 void sort_into(std::span<const rel::Tuple> in, std::span<rel::Tuple> out);
 
 /// Sorts a fragment in place by join key: sort_into from a copy.

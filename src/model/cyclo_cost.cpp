@@ -21,7 +21,7 @@ CycloCostEstimate estimate(JoinKind kind, std::uint64_t rows, int num_hosts,
   const double rows_per_host =
       static_cast<double>(rows) / static_cast<double>(num_hosts);
 
-  // ---- setup: two prep tasks per host, concurrent when cores allow ----
+  // ---- setup: both sides' staged work spread over the host's cores ----
   double task_a = 0.0;  // prepare stationary fragment
   double task_b = 0.0;  // reorganize rotating fragment
   switch (kind) {
@@ -34,8 +34,7 @@ CycloCostEstimate estimate(JoinKind kind, std::uint64_t rows, int num_hosts,
       task_b = rows_per_host * params.sort_ns_per_tuple;
       break;
   }
-  out.setup = params.cores_per_host >= 2 ? ns(std::max(task_a, task_b))
-                                         : ns(task_a + task_b);
+  out.setup = ns((task_a + task_b) / params.cores_per_host);
 
   // ---- join phase: every host touches all of R once (Equation (*)) ----
   const int parallelism = std::min(params.cores_per_host, params.join_threads);

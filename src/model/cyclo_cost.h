@@ -7,8 +7,8 @@
 // |R| = |S| = `rows` tuples:
 //
 //   setup      one host prepares rows/n tuples of each relation; the two
-//              prep tasks (build S / reorganize R) run concurrently on the
-//              host's cores,
+//              sides' work (build S / reorganize R) runs as staged tasks
+//              spread over all c of the host's cores (join/staged.h),
 //   join       every host touches all of R once: |R| probe/merge steps at
 //              the algorithm's per-tuple cost, spread over min(c, threads)
 //              cores (paper Equation (*)),

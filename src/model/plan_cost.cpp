@@ -28,22 +28,24 @@ RoundCost cost_round(const PlanRelStats& rotating,
   const int n = std::max(1, params.num_hosts);
   const double rot_per_host = rotating.rows / n;
   const double stat_per_host = stationary.rows / n;
+  const double cores = std::max(1, k.cores_per_host);
   const double threads =
       std::max(1, std::min(k.cores_per_host, k.join_threads));
 
   RoundCost cost;
   switch (kind) {
     case JoinKind::kHash:
-      // Setup: the stationary build and the rotating reorg run concurrently
-      // on each host's cores; the slower one gates the phase.
-      cost.setup_ns = std::max(stat_per_host * k.hash_build_ns_per_tuple,
-                               rot_per_host * k.hash_reorg_ns_per_tuple);
+      // Setup: the stationary build and the rotating reorg run as staged
+      // tasks spread over all of each host's cores.
+      cost.setup_ns = (stat_per_host * k.hash_build_ns_per_tuple +
+                       rot_per_host * k.hash_reorg_ns_per_tuple) /
+                      cores;
       // Join: every host probes all of the rotating side once (Eq. (*)).
       cost.join_ns = rotating.rows * k.hash_probe_ns_per_tuple / threads;
       break;
     case JoinKind::kSortMerge:
-      cost.setup_ns = std::max(stat_per_host, rot_per_host) *
-                      k.sort_ns_per_tuple;
+      cost.setup_ns = (stat_per_host + rot_per_host) * k.sort_ns_per_tuple /
+                      cores;
       cost.join_ns = rotating.rows * k.merge_ns_per_tuple / threads;
       break;
   }

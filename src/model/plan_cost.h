@@ -10,7 +10,8 @@
 //   cardinality   |X ⋈ Y| ≈ |X|·|Y| / max(ndv(X), ndv(Y)) for an equi join
 //                 on the shared key (containment-of-values assumption),
 //                 × (2·band + 1) for a band join,
-//   round cost    setup  = max(build Y_i, reorg X_i) per host,
+//   round cost    setup  = (build Y_i + reorg X_i) / cores per host (both
+//                 sides' staged setup spread over every core),
 //                 join   = |X| probes per host over min(cores, threads),
 //                 xfer   = |X| bytes per link per revolution,
 //                 total  = setup + max(join, xfer)  (the roundabout hides

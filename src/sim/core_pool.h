@@ -29,6 +29,7 @@
 #include "sim/engine.h"
 #include "sim/sync.h"
 #include "sim/task.h"
+#include "sim/when_all.h"
 
 namespace cj::sim {
 
@@ -136,6 +137,48 @@ class CorePool {
   Task<void> run(std::function<void()> work, std::string tag,
                  int cap = kUncapped) {
     co_await execute(std::move(work), std::move(tag), cap);
+  }
+
+  /// Runs a staged job: `stages` stages of `tasks` tasks, task (s, t)
+  /// being work(s, t). A stage's tasks occupy the cores at once, and stage
+  /// s + 1 starts when every task of stage s finished. With an executor
+  /// the tasks of a stage run on its workers. A simulated pool runs every
+  /// task of the job inline first, back to back, measuring each, and then
+  /// occupies its cores for the measured durations stage by stage: the
+  /// simulator's one real cache then holds one job's data from stage to
+  /// stage, as each simulated host's own cache would, instead of every
+  /// concurrent job's stage in turn.
+  Task<void> run_stages(std::function<void(std::size_t stage, int task)> work,
+                        std::size_t stages, int tasks, std::string tag) {
+    CJ_CHECK(tasks >= 1);
+    const auto n = static_cast<std::size_t>(tasks);
+    std::vector<SimDuration> measured;
+    if (executor_ == nullptr) {
+      measured.resize(stages * n);
+      for (std::size_t s = 0; s < stages; ++s) {
+        for (int t = 0; t < tasks; ++t) {
+          measured[s * n + static_cast<std::size_t>(t)] =
+              measure_cpu([&] { work(s, t); });
+        }
+      }
+    }
+    for (std::size_t s = 0; s < stages; ++s) {
+      std::vector<Task<void>> batch;
+      for (int t = 0; t < tasks; ++t) {
+        if (executor_ == nullptr) {
+          const auto cost = static_cast<SimDuration>(
+              static_cast<double>(measured[s * n + static_cast<std::size_t>(t)]) *
+              cpu_scale_);
+          batch.push_back(consume(cost, tag));
+        } else {
+          batch.push_back(run([&work, s, t] { work(s, t); }, tag));
+        }
+      }
+      // A local, not a temporary inside the co_await: GCC 12 destroys
+      // temporaries of an awaited expression twice.
+      Task<void> stage = when_all(engine_, std::move(batch));
+      co_await std::move(stage);
+    }
   }
 
   /// Occupies a core for an analytically-known duration (cost models,

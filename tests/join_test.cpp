@@ -9,13 +9,16 @@
 #include <atomic>
 #include <cstring>
 #include <map>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #if defined(__GLIBC__)
 #include <sys/resource.h>
 #endif
 
+#include "cyclo/chunk.h"
 #include "join/hash_join.h"
 #include "join/local_join.h"
 #include "join/nested_loops.h"
@@ -23,6 +26,7 @@
 #include "join/radix.h"
 #include "join/simd.h"
 #include "join/sort_merge.h"
+#include "join/staged.h"
 #include "rel/generator.h"
 
 namespace cj::join {
@@ -929,6 +933,211 @@ TEST(PagePool, JoinsOnAdoptedPoisonedBlocksMatchTheOracle) {
   EXPECT_EQ(after.fresh_bytes, before.fresh_bytes);  // all adopted
   EXPECT_GE(after.reused_bytes - before.reused_bytes, 4 * (2 * kMiB));
 }
+
+// ------------------------------------------------- staged setup kernels
+//
+// The staged setup (join/staged.h) must produce the inline path's bytes for
+// any task count: sorted arrays, partitions, slab chunks, and — through the
+// tables — the same probe results. Each stage's tasks run on their own
+// threads here, so the sanitizer jobs see them run concurrently.
+
+void run_threaded(StagedJob& job) {
+  for (std::size_t stage = 0; stage < job.stages(); ++stage) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < job.tasks(); ++t) {
+      threads.emplace_back([&job, stage, t] { job.run(stage, t); });
+    }
+    for (auto& thread : threads) thread.join();
+  }
+}
+
+enum class StagedKeys { kUniform, kZipf, kAllDuplicates };
+
+struct StagedCase {
+  int tasks;
+  StagedKeys keys;
+  std::uint64_t rows;
+};
+
+std::vector<rel::Tuple> staged_input(StagedKeys keys, std::uint64_t rows,
+                                     std::uint64_t seed) {
+  if (rows == 0) return {};
+  if (keys == StagedKeys::kAllDuplicates) {
+    std::vector<rel::Tuple> out;
+    for (std::uint64_t i = 0; i < rows; ++i) out.push_back({7, i});
+    return out;
+  }
+  const double zipf = keys == StagedKeys::kZipf ? 1.25 : 0.0;
+  const rel::Relation t = gen(rows, std::max<std::uint64_t>(rows, 1), seed, zipf);
+  return {t.tuples().begin(), t.tuples().end()};
+}
+
+bool same_bytes(std::span<const rel::Tuple> a, std::span<const rel::Tuple> b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size_bytes()) == 0);
+}
+
+bool same_slab(cyclo::ChunkSlab& a, cyclo::ChunkSlab& b) {
+  if (a.num_chunks() != b.num_chunks() || a.total_tuples() != b.total_tuples()) {
+    return false;
+  }
+  const auto x = a.slab();
+  const auto y = b.slab();
+  if (x.size() != y.size() ||
+      (!x.empty() && std::memcmp(x.data(), y.data(), x.size()) != 0)) {
+    return false;
+  }
+  for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+    if (a.chunk(c).data() - x.data() != b.chunk(c).data() - y.data() ||
+        a.chunk(c).size() != b.chunk(c).size()) {
+      return false;
+    }
+  }
+  return true;
+}
+
+class StagedSortInto : public ::testing::TestWithParam<StagedCase> {};
+
+TEST_P(StagedSortInto, MatchesInlineSort) {
+  const auto [tasks, keys, rows] = GetParam();
+  const auto in = staged_input(keys, rows, 51);
+  std::vector<rel::Tuple> inline_out(in.size());
+  sort_into(in, inline_out);
+  ASSERT_TRUE(is_sorted_by_key(inline_out));
+  PoolArray<rel::Tuple> staged_out;
+  StagedJob job(tasks);
+  sort_into(in, &staged_out, job);
+  run_threaded(job);
+  EXPECT_TRUE(same_bytes(staged_out, inline_out));
+}
+
+TEST_P(StagedSortInto, SlabMatchesInline) {
+  const auto [tasks, keys, rows] = GetParam();
+  const auto in = staged_input(keys, rows, 52);
+  const cyclo::ChunkWriter writer(4096);
+  std::vector<rel::Tuple> sorted(in.size());
+  sort_into(in, sorted);
+  cyclo::ChunkSlab inline_slab = writer.from_sorted(sorted, 3);
+
+  PoolArray<rel::Tuple> staged_sorted;
+  cyclo::ChunkSlab staged_slab;
+  StagedJob job(tasks);
+  sort_into(in, &staged_sorted, job);
+  writer.from_sorted(staged_sorted, 3, job, &staged_slab);
+  run_threaded(job);
+  EXPECT_TRUE(same_slab(staged_slab, inline_slab));
+
+  cyclo::ChunkSlab inline_raw = writer.from_raw(in, 3);
+  cyclo::ChunkSlab staged_raw;
+  StagedJob raw_job(tasks);
+  writer.from_raw(in, 3, raw_job, &staged_raw);
+  run_threaded(raw_job);
+  EXPECT_TRUE(same_slab(staged_raw, inline_raw));
+}
+
+class StagedRadixCluster : public ::testing::TestWithParam<StagedCase> {};
+
+TEST_P(StagedRadixCluster, MatchesInlineClustering) {
+  const auto [tasks, keys, rows] = GetParam();
+  const auto in = staged_input(keys, rows, 53);
+  // One pass, two passes, and four (two middle passes) of 3 bits.
+  for (const auto [bits, per_pass] : {std::pair{0, 8}, std::pair{5, 8},
+                                      std::pair{12, 8}, std::pair{11, 3}}) {
+    const PartitionedData inline_parts = radix_cluster(in, bits, per_pass);
+    PartitionedData staged_parts;
+    StagedJob job(tasks);
+    radix_cluster(in, bits, per_pass, job, &staged_parts);
+    run_threaded(job);
+    EXPECT_TRUE(same_bytes(staged_parts.all_tuples(), inline_parts.all_tuples()))
+        << "bits " << bits << " per pass " << per_pass;
+    EXPECT_TRUE(std::ranges::equal(staged_parts.offsets(), inline_parts.offsets()))
+        << "bits " << bits << " per pass " << per_pass;
+  }
+}
+
+TEST_P(StagedRadixCluster, SlabMatchesInline) {
+  const auto [tasks, keys, rows] = GetParam();
+  const auto in = staged_input(keys, rows, 54);
+  const cyclo::ChunkWriter writer(4096);
+  cyclo::ChunkSlab inline_slab =
+      writer.from_partitioned(radix_cluster(in, 6, 8), 2);
+  PartitionedData parts;
+  cyclo::ChunkSlab staged_slab;
+  StagedJob job(tasks);
+  radix_cluster(in, 6, 8, job, &parts);
+  writer.from_partitioned(parts, 2, job, &staged_slab);
+  run_threaded(job);
+  EXPECT_TRUE(same_slab(staged_slab, inline_slab));
+}
+
+class StagedKernelParity : public ::testing::TestWithParam<StagedCase> {};
+
+TEST_P(StagedKernelParity, HashBuildMatchesInlineAndSortMerge) {
+  const auto [tasks, keys, rows] = GetParam();
+  // A hot key's duplicates fill its home group and every insert after them
+  // walks past them, so skewed builds grow quadratically: uniform keys alone
+  // take the fused build's size.
+  const auto s = staged_input(
+      keys, keys == StagedKeys::kUniform ? rows : std::min<std::uint64_t>(rows, 20'000),
+      55);
+  // All-duplicate keys would make every R tuple match all of S: probe with
+  // a few of them and one key S lacks.
+  const auto r = keys == StagedKeys::kAllDuplicates
+                     ? std::vector<rel::Tuple>{{7, 1}, {7, 2}, {7, 3}, {8, 4}}
+                     : staged_input(keys, std::min<std::uint64_t>(rows, 2'000), 56);
+  const JoinResult reference = local_sort_merge_join(r, s);
+  const RadixConfig config;
+  // bits 0: one table; 1: the most regions per partition in the fused
+  // build; choose_radix_bits: the production shape (fused from 2^18 rows).
+  for (const int bits : {0, 1, choose_radix_bits(s.size(), config)}) {
+    const HashJoinStationary inline_build = HashJoinStationary::build(s, bits, config);
+    HashJoinStationary staged;
+    StagedJob job(tasks);
+    HashJoinStationary::build(s, bits, config, job, &staged);
+    run_threaded(job);
+    EXPECT_TRUE(same_bytes(staged.partitions().all_tuples(),
+                           inline_build.partitions().all_tuples()))
+        << "bits " << bits;
+    EXPECT_EQ(staged.bytes(), inline_build.bytes()) << "bits " << bits;
+
+    const auto r_parts = radix_cluster(r, bits, config.bits_per_pass);
+    JoinResult result;
+    for (std::uint32_t p = 0; p < r_parts.num_partitions(); ++p) {
+      staged.probe_partition(p, r_parts.partition(p), result);
+    }
+    EXPECT_EQ(result.matches(), reference.matches()) << "bits " << bits;
+    EXPECT_EQ(result.checksum(), reference.checksum()) << "bits " << bits;
+  }
+}
+
+std::vector<StagedCase> staged_cases() {
+  std::vector<StagedCase> out;
+  for (const int tasks : {1, 2, 3, 4, 7}) {
+    for (const StagedKeys keys :
+         {StagedKeys::kUniform, StagedKeys::kZipf, StagedKeys::kAllDuplicates}) {
+      // Empty, fewer rows than tasks, small, and past the fused-build
+      // threshold.
+      for (const std::uint64_t rows : {0ULL, 5ULL, 4'099ULL, 300'000ULL}) {
+        out.push_back({tasks, keys, rows});
+      }
+    }
+  }
+  return out;
+}
+
+std::string staged_name(const ::testing::TestParamInfo<StagedCase>& info) {
+  const char* keys[] = {"Uniform", "Zipf125", "AllDup"};
+  return std::string(keys[static_cast<int>(info.param.keys)]) + "_" +
+         std::to_string(info.param.rows) + "rows_" +
+         std::to_string(info.param.tasks) + "tasks";
+}
+
+INSTANTIATE_TEST_SUITE_P(TasksKeysRows, StagedSortInto,
+                         ::testing::ValuesIn(staged_cases()), staged_name);
+INSTANTIATE_TEST_SUITE_P(TasksKeysRows, StagedRadixCluster,
+                         ::testing::ValuesIn(staged_cases()), staged_name);
+INSTANTIATE_TEST_SUITE_P(TasksKeysRows, StagedKernelParity,
+                         ::testing::ValuesIn(staged_cases()), staged_name);
 
 }  // namespace
 }  // namespace cj::join

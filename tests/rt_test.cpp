@@ -13,6 +13,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <utility>
@@ -560,29 +561,45 @@ TEST(PoolSteadyState, SecondSharedWaveMapsNoFreshPoolBytes) {
 
 // ----- the join-thread limit ----------------------------------------------
 
-/// The most join tasks that ever ran at once on one host, read from the
-/// CorePool's core spans (entity "core<k>", name = the busy tag). An end
-/// and a begin at the same timestamp do not overlap.
-int peak_join_tasks(const obs::Tracer& trace) {
+/// Per host, the most core spans named `name` (the busy tag; entity
+/// "core<k>") open at one instant. An end and a begin at the same
+/// timestamp do not overlap.
+std::map<int, int> peak_core_spans(const obs::Tracer& trace,
+                                   std::string_view name) {
   std::map<int, std::vector<std::pair<std::int64_t, int>>> edges;
   for (const obs::Span& span : obs::extract_spans(trace)) {
-    if (trace.name(span.name) != "join" ||
+    if (trace.name(span.name) != name ||
         !trace.name(span.entity).starts_with("core")) {
       continue;
     }
     edges[span.host].emplace_back(span.start, +1);
     edges[span.host].emplace_back(span.end, -1);
   }
-  int peak = 0;
+  std::map<int, int> peaks;
   for (auto& [host, host_edges] : edges) {
     std::sort(host_edges.begin(), host_edges.end());
     int running = 0;
+    int& peak = peaks[host];
     for (const auto& [ts, delta] : host_edges) {
       running += delta;
       peak = std::max(peak, running);
     }
   }
+  return peaks;
+}
+
+/// The most join tasks that ever ran at once on one host.
+int peak_join_tasks(const obs::Tracer& trace) {
+  int peak = 0;
+  for (const auto& [host, host_peak] : peak_core_spans(trace, "join")) {
+    peak = std::max(peak, host_peak);
+  }
   return peak;
+}
+
+/// Per host, the most setup tasks running at once.
+std::map<int, int> peak_setup_tasks(const obs::Tracer& trace) {
+  return peak_core_spans(trace, "setup");
 }
 
 // join_threads < cores_per_host must leave cores free (fig12 and table1
@@ -609,6 +626,53 @@ TEST_P(JoinThreadLimit, NoMoreThanJoinThreadsJoinTasksRunAtOnce) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, JoinThreadLimit,
+                         ::testing::Values(Backend::kSim, Backend::kRt),
+                         [](const auto& info) {
+                           return info.param == Backend::kSim
+                                      ? std::string("Sim")
+                                      : std::string("Rt");
+                         });
+
+// Setup runs on every core: the rotating and the stationary side's staged
+// jobs (join/staged.h) put cores_per_host setup tasks on each host's cores
+// at once, on both backends. On rt they are real worker threads.
+class SetupConcurrency : public ::testing::TestWithParam<Backend> {};
+
+TEST_P(SetupConcurrency, EveryHostRunsASetupTaskOnEachCoreAtOnce) {
+  const Backend backend = GetParam();
+  auto r = rel::generate({.rows = 600'000, .key_domain = 150'000, .seed = 93}, "R", 1);
+  auto s = rel::generate({.rows = 600'000, .key_domain = 150'000, .seed = 94}, "S", 2);
+  ClusterConfig cfg = parity_cluster(backend, 3);
+  cfg.cores_per_host = backend == Backend::kSim ? 4 : 3;
+  cfg.trace.enabled = true;
+  for (const Algorithm algorithm :
+       {Algorithm::kHashJoin, Algorithm::kSortMergeJoin}) {
+    // A host's best peak over a few runs: on rt a loaded machine may start
+    // one worker only after another already finished its short task. One
+    // task per side (two at once) never reaches three, however often run.
+    std::map<int, int> best;
+    for (int attempt = 0; attempt < 5; ++attempt) {
+      const RunReport report =
+          CycloJoin(cfg, JoinSpec{.algorithm = algorithm}).run(r, s);
+      ASSERT_NE(report.trace, nullptr);
+      for (const auto& [host, peak] : peak_setup_tasks(*report.trace)) {
+        best[host] = std::max(best[host], peak);
+      }
+      if (std::ranges::all_of(best, [&](const auto& hp) {
+            return hp.second == cfg.cores_per_host;
+          })) {
+        break;
+      }
+    }
+    ASSERT_EQ(best.size(), 3U);
+    for (const auto& [host, peak] : best) {
+      EXPECT_EQ(peak, cfg.cores_per_host)
+          << "host " << host << " algorithm " << static_cast<int>(algorithm);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, SetupConcurrency,
                          ::testing::Values(Backend::kSim, Backend::kRt),
                          [](const auto& info) {
                            return info.param == Backend::kSim
