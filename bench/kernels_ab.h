@@ -40,7 +40,8 @@ namespace cj::bench {
 struct KernelCase {
   std::string kernel;   ///< "radix_cluster", "hash_build", "probe_partition",
                         ///< "probe_cached", "probe_simd", "sort_into",
-                        ///< "sort_into_cold"
+                        ///< "sort_into_cold"; at kRunnerShapeRows
+                        ///< "band_merge", "merge" and "sort_into"
   /// "optimized", or "legacy" for probe_simd's forced-scalar twin. The
   /// names match the rows of the checked-in baseline, which also keeps the
   /// frozen numbers of the removed pre-optimization kernels.
@@ -88,10 +89,24 @@ struct AbInputs {
 
 }  // namespace internal
 
-/// Builds the full case list for one input size. Seeds match the
-/// historical micro_kernels sweep (41/42) so fresh measurements are
-/// comparable with checked-in baselines.
+/// Rows per side of the runner-shape cases: one host's fragments of the
+/// end-to-end band_zipf_sim workload (2^20 rows over 6 hosts).
+inline constexpr std::int64_t kRunnerShapeRows = 174'762;
+
+/// The sort-merge kernels as the cyclo-join runner calls them on one host
+/// of band_zipf_sim: `sort_into` sorts a Zipf 0.5 fragment over 2^20 keys;
+/// `band_merge` (Zipf 0.5, band 1) and `merge` (uniform keys, equi-join)
+/// merge sorted R in ring-buffer chunks of 2'730 tuples, four ranges a
+/// chunk, each range against its matching_window of sorted S and the
+/// window's slice of S's key column. The merges' checksums must equal a
+/// plain two-cursor merge's (reference_merge_checksum).
+inline std::vector<KernelCase> make_runner_shape_cases();
+
+/// Builds the full case list for one input size — the runner-shape cases
+/// at kRunnerShapeRows. Seeds match the historical micro_kernels sweep
+/// (41/42) so fresh measurements are comparable with checked-in baselines.
 inline std::vector<KernelCase> make_kernel_cases(std::int64_t rows) {
+  if (rows == kRunnerShapeRows) return make_runner_shape_cases();
   const join::RadixConfig cfg;
   const join::KernelConfig kernel = cfg.kernel;
 
@@ -195,6 +210,113 @@ inline std::vector<KernelCase> make_kernel_cases(std::int64_t rows) {
         return keys;
       },
       sort_reference);
+  return cases;
+}
+
+namespace internal {
+
+/// Sorted fragments of one runner-shape merge case, S with its key column.
+struct MergeInputs {
+  std::vector<rel::Tuple> r;
+  join::PoolArray<rel::Tuple> s;
+  join::PoolArray<std::uint32_t> s_keys;
+};
+
+/// Checksum of the band join of sorted r and s by the textbook merge: per
+/// r tuple, a lower cursor that only moves forward and a scan of its
+/// window. Shares nothing with band_merge_join but pair_hash.
+inline std::uint64_t reference_merge_checksum(const MergeInputs& in,
+                                              std::uint32_t band) {
+  std::uint64_t sum = 0;
+  std::size_t lo = 0;
+  for (const rel::Tuple& r : in.r) {
+    const std::uint64_t key = r.key;
+    while (lo < in.s.size() && in.s[lo].key + std::uint64_t{band} < key) ++lo;
+    for (std::size_t j = lo; j < in.s.size() && in.s[j].key <= key + band; ++j) {
+      sum += join::JoinResult::pair_hash(r.payload, in.s[j].payload);
+    }
+  }
+  return sum;
+}
+
+}  // namespace internal
+
+inline std::vector<KernelCase> make_runner_shape_cases() {
+  constexpr std::int64_t rows = kRunnerShapeRows;
+  static constexpr std::size_t kChunk = 2'730;  // a 32 KB ring buffer of tuples
+  static constexpr std::size_t kRanges = 4;     // join threads
+  const std::string tier =
+      join::simd_tier_name(join::resolve_simd(join::KernelConfig{}.simd));
+  const auto fragments = [](double zipf, std::uint64_t domain) {
+    auto in = std::make_shared<internal::MergeInputs>();
+    const auto n = static_cast<std::uint64_t>(rows);
+    const auto generate = [&](std::uint64_t seed) {
+      return rel::generate(
+          {.rows = n, .key_domain = domain, .zipf_z = zipf, .seed = seed}, "bench", 1);
+    };
+    const rel::Relation r = generate(41);
+    in->r.resize(r.rows());
+    join::sort_into(r.tuples(), in->r);
+    // S as the runner's stationary side: sorted with its key column.
+    const rel::Relation s = generate(42);
+    join::StagedJob job(1);
+    join::sort_into(s.tuples(), &in->s, job, &in->s_keys);
+    job.run_inline();
+    return in;
+  };
+  const auto chunked_merge = [](const internal::MergeInputs& in,
+                                std::uint32_t band) {
+    join::JoinResult result;
+    const std::span<const rel::Tuple> r(in.r);
+    for (std::size_t off = 0; off < r.size(); off += kChunk) {
+      const auto chunk = r.subspan(off, std::min(kChunk, r.size() - off));
+      for (std::size_t p = 0; p < kRanges; ++p) {
+        const std::size_t b = chunk.size() * p / kRanges;
+        const std::size_t e = chunk.size() * (p + 1) / kRanges;
+        if (b == e) continue;
+        const auto range = chunk.subspan(b, e - b);
+        const auto window =
+            join::matching_window(in.s, range.front().key, range.back().key, band);
+        join::band_merge_join(range, window,
+                              in.s_keys.data() + (window.data() - in.s.data()),
+                              band, result);
+      }
+    }
+    return result.checksum();
+  };
+
+  std::vector<KernelCase> cases;
+  const auto band = fragments(0.5, std::uint64_t{1} << 20);
+  cases.push_back(KernelCase{"band_merge", "optimized", rows, 0, tier,
+                             internal::reference_merge_checksum(*band, 1),
+                             [band, chunked_merge] { return chunked_merge(*band, 1); }});
+  const auto equi = fragments(0.0, static_cast<std::uint64_t>(rows));
+  cases.push_back(KernelCase{"merge", "optimized", rows, 0, tier,
+                             internal::reference_merge_checksum(*equi, 0),
+                             [equi, chunked_merge] { return chunked_merge(*equi, 0); }});
+
+  // The sort reads the unsorted fragment and must return the keys of a
+  // std::sort of it (min, median, max, as in make_kernel_cases).
+  auto unsorted = std::make_shared<rel::Relation>(rel::generate(
+      {.rows = static_cast<std::uint64_t>(rows), .key_domain = std::uint64_t{1} << 20,
+       .zipf_z = 0.5, .seed = 41},
+      "bench", 1));
+  auto out = std::make_shared<std::vector<rel::Tuple>>(unsorted->rows());
+  std::vector<rel::Tuple> by_std(unsorted->tuples().begin(), unsorted->tuples().end());
+  std::sort(by_std.begin(), by_std.end(),
+            [](const rel::Tuple& a, const rel::Tuple& b) { return a.key < b.key; });
+  const auto sorted_keys = [](std::span<const rel::Tuple> sorted) {
+    const std::uint64_t lo = sorted.front().key;
+    const std::uint64_t mid = sorted[sorted.size() / 2].key;
+    const std::uint64_t hi = sorted.back().key;
+    return (lo << 42) ^ (mid << 21) ^ hi;
+  };
+  cases.push_back(KernelCase{"sort_into", "optimized", rows, 0, tier,
+                             sorted_keys(by_std),
+                             [unsorted, out, sorted_keys] {
+                               join::sort_into(unsorted->tuples(), *out);
+                               return sorted_keys(*out);
+                             }});
   return cases;
 }
 

@@ -6,8 +6,9 @@
 // sweep of the cache-sensitive kernels (radix clustering, hash build, hash
 // probe; docs/KERNELS.md) and writes its trajectory to BENCH_kernels.json
 // (BenchJson): one row per kernel x variant x size, every probe checked
-// against a sort-merge join of the same inputs. Flags, on top of the
-// --benchmark_* ones:
+// against a sort-merge join of the same inputs. The sweep always ends with
+// the runner-shape sort-merge cases (bench/kernels_ab.h, kRunnerShapeRows).
+// Flags, on top of the --benchmark_* ones:
 //
 //   --ab_only          skip google-benchmark, run just the kernel sweep (CI)
 //   --ab_rows=a,b,c    sweep input sizes        (default 2^16,2^20,2^22)
@@ -258,8 +259,10 @@ int main(int argc, char** argv) {
   benchmark::Initialize(&argc, argv);  // strips --benchmark_* from argv
   auto flags = bench::parse_flags_or_die(argc, argv);
   const bool ab_only = flags.get_bool("ab_only", false);
-  const auto ab_rows =
-      flags.get_int_list("ab_rows", {1 << 16, 1 << 20, 1 << 22});
+  auto ab_rows = flags.get_int_list("ab_rows", {1 << 16, 1 << 20, 1 << 22});
+  if (std::ranges::find(ab_rows, bench::kRunnerShapeRows) == ab_rows.end()) {
+    ab_rows.push_back(bench::kRunnerShapeRows);
+  }
   const int ab_reps = static_cast<int>(flags.get_int("ab_reps", 5));
   bench::BenchJson json(flags, "kernels");
   bench::check_unused_flags(flags);

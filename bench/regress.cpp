@@ -626,7 +626,7 @@ int main(int argc, char** argv) {
   }
 
   if (!write_baseline.empty()) {
-    if (sizes.empty()) sizes = {1 << 16, 1 << 20, 1 << 22};
+    if (sizes.empty()) sizes = {1 << 16, 1 << 20, 1 << 22, bench::kRunnerShapeRows};
     write_baseline_file(write_baseline, measure(sizes, reps, nullptr));
     return 0;
   }

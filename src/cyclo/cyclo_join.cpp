@@ -76,6 +76,7 @@ struct QueryState {
   // The prepared form, per algorithm (nested loops needs none).
   std::optional<join::HashJoinStationary> hash;
   join::PoolArray<rel::Tuple> s_sorted;
+  join::PoolArray<std::uint32_t> s_keys;  ///< s_sorted's key column
 
   std::uint32_t band = 0;
   const std::function<bool(const rel::Tuple&, const rel::Tuple&)>* predicate =
@@ -335,8 +336,9 @@ std::vector<std::vector<std::byte>> build_replica_records(
 }
 
 /// The staged job (join/staged.h) that prepares one query's stationary
-/// state from its s_view, `tasks` tasks per stage: hash build or sort, per
-/// algorithm (nested loops joins s_view as it is, so its job is empty).
+/// state from its s_view, `tasks` tasks per stage: hash build, or sort and
+/// key column, per algorithm (nested loops joins s_view as it is, so its
+/// job is empty).
 /// s_view must stay valid until the job ran.
 std::shared_ptr<join::StagedJob> stationary_job(const JoinSpec& spec,
                                                 int radix_bits,
@@ -348,7 +350,7 @@ std::shared_ptr<join::StagedJob> stationary_job(const JoinSpec& spec,
                                       *job, &state->hash.emplace());
       break;
     case Algorithm::kSortMergeJoin:
-      join::sort_into(state->s_view, &state->s_sorted, *job);
+      join::sort_into(state->s_view, &state->s_sorted, *job, &state->s_keys);
       break;
     case Algorithm::kNestedLoops:
       break;
@@ -538,7 +540,10 @@ void build_query_chunk_work(const JoinSpec& spec, int radix_bits,
               view.tuples.subspan(range.first, range.second - range.first);
           auto window = join::matching_window(
               state->s_sorted, r_range.front().key, r_range.back().key, band);
-          join::band_merge_join(r_range, window, band, partial, kernel);
+          join::band_merge_join(
+              r_range, window,
+              state->s_keys.data() + (window.data() - state->s_sorted.data()),
+              band, partial, kernel);
         });
       }
       break;

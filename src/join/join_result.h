@@ -50,6 +50,14 @@ class JoinResult {
     checksum_ += hit ? mixed : 0;
   }
 
+  /// Adds totals a kernel accumulated itself: `matches` more matches whose
+  /// pair_hash values sum to `checksum`. Counting-only results only — a
+  /// materializing one must see every row through add_match.
+  void add_counted(std::uint64_t matches, std::uint64_t checksum) {
+    matches_ += matches;
+    checksum_ += checksum;
+  }
+
   /// Pre-sizes the output for a probe batch about to be resolved: callers
   /// pass the batch's match upper bound once, so the per-match push_back
   /// almost never hits the capacity check mid-batch. Growth stays
@@ -81,9 +89,8 @@ class JoinResult {
   bool materializes() const { return materialize_; }
   std::span<const OutTuple> output() const { return output_; }
 
- private:
-  // Mixes one (r, s) pairing into a 64-bit value; summed over all matches
-  // the total is independent of match order but sensitive to pairings.
+  /// Mixes one (r, s) pairing into a 64-bit value; summed over all matches
+  /// the total is independent of match order but sensitive to pairings.
   static std::uint64_t pair_hash(std::uint64_t r, std::uint64_t s) {
     std::uint64_t x = r * 0x9E3779B97F4A7C15ULL + s * 0xC2B2AE3D27D4EB4FULL + 1;
     x ^= x >> 33;
@@ -92,6 +99,7 @@ class JoinResult {
     return x;
   }
 
+ private:
   bool materialize_;
   std::uint64_t matches_ = 0;
   std::uint64_t checksum_ = 0;

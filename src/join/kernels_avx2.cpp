@@ -1,7 +1,8 @@
 // AVX2 tier of the join kernels — the only translation unit compiled with
 // -mavx2 (src/join/CMakeLists.txt), so the generic templates from
-// hash_group_impl.h instantiate here with the intrinsics fully inlined
-// into the probe loops. Nothing in this file executes unless runtime
+// hash_group_impl.h and sort_merge_simd.h instantiate here with the
+// intrinsics fully inlined into the probe loops and the merge's cursor
+// loops. Nothing in this file executes unless runtime
 // detection (join/simd.cpp) resolved the tier to kAvx2, which implies the
 // CPU supports every instruction used here.
 #if defined(__x86_64__) || defined(__i386__)
@@ -40,12 +41,21 @@ struct Avx2Ops {
   }
 };
 
-/// Keys of 8 consecutive 12-byte tuples, gathered as dwords at stride 3.
-/// Every lane reads exactly one tuple's key field — requires i + 8 <= n.
-inline __m256i gather_keys8(const rel::Tuple* t, std::size_t i) {
-  const __m256i idx = _mm256_setr_epi32(0, 3, 6, 9, 12, 15, 18, 21);
-  return _mm256_i32gather_epi32(reinterpret_cast<const int*>(t + i), idx, 4);
-}
+/// Key-column compares for the merge's bounds phase (sort_merge_simd.h):
+/// one unaligned load of 8 keys, one signed compare (keys are unsigned, so
+/// both sides are biased by 2^31), one movemask.
+struct Avx2MergeOps {
+  static std::uint32_t count_below(const std::uint32_t* k, std::uint32_t bound) {
+    const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000U));
+    const __m256i keys = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(k)), bias);
+    const __m256i below = _mm256_cmpgt_epi32(
+        _mm256_set1_epi32(static_cast<int>(bound ^ 0x80000000U)), keys);
+    return static_cast<std::uint32_t>(
+        std::popcount(static_cast<std::uint32_t>(
+            _mm256_movemask_ps(_mm256_castsi256_ps(below)))));
+  }
+};
 
 }  // namespace
 
@@ -56,35 +66,10 @@ void PartitionHashTable::probe_dispatch_avx2(std::span<const rel::Tuple> r_run,
 
 namespace detail {
 
-std::size_t run_end_avx2(const rel::Tuple* t, std::size_t i, std::size_t n,
-                         std::uint32_t key) {
-  const __m256i want = _mm256_set1_epi32(static_cast<int>(key));
-  while (i + 8 <= n) {
-    const __m256i eq = _mm256_cmpeq_epi32(gather_keys8(t, i), want);
-    const auto m =
-        static_cast<std::uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(eq)));
-    if (m != 0xFFU) return i + std::countr_zero(~m & 0xFFU);
-    i += 8;
-  }
-  while (i < n && t[i].key == key) ++i;
-  return i;
-}
-
-std::size_t window_end_avx2(const rel::Tuple* t, std::size_t i, std::size_t n,
-                            std::uint32_t hi_key) {
-  // Keys are unsigned, cmpgt is signed: bias both sides by 2^31.
-  const __m256i bias = _mm256_set1_epi32(static_cast<int>(0x80000000U));
-  const __m256i limit = _mm256_set1_epi32(static_cast<int>(hi_key ^ 0x80000000U));
-  while (i + 8 <= n) {
-    const __m256i keys = _mm256_xor_si256(gather_keys8(t, i), bias);
-    const __m256i gt = _mm256_cmpgt_epi32(keys, limit);
-    const auto m =
-        static_cast<std::uint32_t>(_mm256_movemask_ps(_mm256_castsi256_ps(gt)));
-    if (m != 0) return i + std::countr_zero(m);
-    i += 8;
-  }
-  while (i < n && t[i].key <= hi_key) ++i;
-  return i;
+void window_bounds_avx2(const std::uint32_t* keys, std::uint32_t n,
+                        std::uint32_t band, BoundsStream& a, std::size_t ca,
+                        BoundsStream& b, std::size_t cb) {
+  window_bounds<Avx2MergeOps>(keys, n, band, a, ca, b, cb);
 }
 
 }  // namespace detail

@@ -5,8 +5,6 @@
 
 #include <arm_neon.h>
 
-#include <bit>
-
 #include "join/hash_group_impl.h"
 #include "join/sort_merge_simd.h"
 
@@ -36,17 +34,18 @@ struct NeonOps {
   }
 };
 
-/// Keys of 4 consecutive 12-byte tuples: vld3q_u32 deinterleaves the 48
-/// bytes at stride 3, lane array 0 holds the keys. Requires i + 4 <= n.
-inline uint32x4_t load_keys4(const rel::Tuple* t, std::size_t i) {
-  return vld3q_u32(reinterpret_cast<const std::uint32_t*>(t + i)).val[0];
-}
-
-/// 16 bits per lane (vmovn to u16, reinterpret as u64): all-ones means
-/// every lane passed the compare.
-inline std::uint64_t lanemask4_of(uint32x4_t cmp) {
-  return vget_lane_u64(vreinterpret_u64_u16(vmovn_u32(cmp)), 0);
-}
+/// Key-column compares for the merge's bounds phase (sort_merge_simd.h):
+/// two 4-lane loads and unsigned compares cover the 8 keys of a step; each
+/// passing lane is all-ones, so shifting it down to 1 and adding the lanes
+/// counts them.
+struct NeonMergeOps {
+  static std::uint32_t count_below(const std::uint32_t* k, std::uint32_t bound) {
+    const uint32x4_t b = vdupq_n_u32(bound);
+    const uint32x4_t lo = vshrq_n_u32(vcltq_u32(vld1q_u32(k), b), 31);
+    const uint32x4_t hi = vshrq_n_u32(vcltq_u32(vld1q_u32(k + 4), b), 31);
+    return vaddvq_u32(vaddq_u32(lo, hi));
+  }
+};
 
 }  // namespace
 
@@ -57,32 +56,10 @@ void PartitionHashTable::probe_dispatch_neon(std::span<const rel::Tuple> r_run,
 
 namespace detail {
 
-std::size_t run_end_neon(const rel::Tuple* t, std::size_t i, std::size_t n,
-                         std::uint32_t key) {
-  const uint32x4_t want = vdupq_n_u32(key);
-  while (i + 4 <= n) {
-    const std::uint64_t m = lanemask4_of(vceqq_u32(load_keys4(t, i), want));
-    if (m != ~0ULL) {
-      return i + static_cast<std::size_t>(std::countr_zero(~m) >> 4);
-    }
-    i += 4;
-  }
-  while (i < n && t[i].key == key) ++i;
-  return i;
-}
-
-std::size_t window_end_neon(const rel::Tuple* t, std::size_t i, std::size_t n,
-                            std::uint32_t hi_key) {
-  const uint32x4_t limit = vdupq_n_u32(hi_key);
-  while (i + 4 <= n) {
-    const std::uint64_t m = lanemask4_of(vcgtq_u32(load_keys4(t, i), limit));
-    if (m != 0) {
-      return i + static_cast<std::size_t>(std::countr_zero(m) >> 4);
-    }
-    i += 4;
-  }
-  while (i < n && t[i].key <= hi_key) ++i;
-  return i;
+void window_bounds_neon(const std::uint32_t* keys, std::uint32_t n,
+                        std::uint32_t band, BoundsStream& a, std::size_t ca,
+                        BoundsStream& b, std::size_t cb) {
+  window_bounds<NeonMergeOps>(keys, n, band, a, ca, b, cb);
 }
 
 }  // namespace detail

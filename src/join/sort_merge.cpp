@@ -10,6 +10,7 @@
 
 #include "common/assert.h"
 #include "join/page_pool.h"
+#include "join/scatter.h"
 #include "join/sort_merge_simd.h"
 #include "join/staged.h"
 #include "obs/prof.h"
@@ -18,30 +19,38 @@ namespace cj::join {
 
 namespace detail {
 
-std::size_t run_end_scalar(const rel::Tuple* t, std::size_t i, std::size_t n,
-                           std::uint32_t key) {
-  while (i < n && t[i].key == key) ++i;
-  return i;
+namespace {
+
+/// Portable compares: kLanes plain compares summed, which the compiler may
+/// vectorize at the baseline ISA.
+struct ScalarMergeOps {
+  static std::uint32_t count_below(const std::uint32_t* k, std::uint32_t bound) {
+    std::uint32_t c = 0;
+    for (std::uint32_t l = 0; l < kLanes; ++l) c += k[l] < bound ? 1U : 0U;
+    return c;
+  }
+};
+
+}  // namespace
+
+void window_bounds_scalar(const std::uint32_t* keys, std::uint32_t n,
+                          std::uint32_t band, BoundsStream& a, std::size_t ca,
+                          BoundsStream& b, std::size_t cb) {
+  window_bounds<ScalarMergeOps>(keys, n, band, a, ca, b, cb);
 }
 
-std::size_t window_end_scalar(const rel::Tuple* t, std::size_t i, std::size_t n,
-                              std::uint32_t hi_key) {
-  while (i < n && t[i].key <= hi_key) ++i;
-  return i;
-}
-
-MergeScanOps merge_scan_ops(SimdTier tier) {
+BoundsFn window_bounds_fn(SimdTier tier) {
   switch (tier) {
 #if defined(__x86_64__) || defined(__i386__)
     case SimdTier::kAvx2:
-      return {run_end_avx2, window_end_avx2};
+      return window_bounds_avx2;
 #endif
 #if defined(__aarch64__) || defined(__ARM_NEON)
     case SimdTier::kNeon:
-      return {run_end_neon, window_end_neon};
+      return window_bounds_neon;
 #endif
     default:
-      return {run_end_scalar, window_end_scalar};
+      return window_bounds_scalar;
   }
 }
 
@@ -49,37 +58,16 @@ MergeScanOps merge_scan_ops(SimdTier tier) {
 
 namespace {
 
-/// Scalar steps taken inline before handing a scan to the (possibly
-/// vectorized) tier function: most equal-key runs are one or two tuples
-/// long, where the indirect call alone would outweigh the whole scan.
-/// Only scans still going after kInlineScan steps — long duplicate runs,
-/// wide band windows — pay the call and reap the vector width.
-constexpr std::size_t kInlineScan = 4;
+static_assert(kKeyPad >= detail::kLanes, "a compare step must fit the padding");
 
-inline std::size_t run_end(const detail::MergeScanOps& ops, const rel::Tuple* t,
-                           std::size_t i, std::size_t n, std::uint32_t key) {
-  const std::size_t quick = std::min(n, i + kInlineScan);
-  while (i < quick && t[i].key == key) ++i;
-  if (i == quick && i < n && t[i].key == key) return ops.run_end(t, i, n, key);
-  return i;
-}
-
-inline std::size_t window_end(const detail::MergeScanOps& ops,
-                              const rel::Tuple* t, std::size_t i, std::size_t n,
-                              std::uint32_t hi_key) {
-  const std::size_t quick = std::min(n, i + kInlineScan);
-  while (i < quick && t[i].key <= hi_key) ++i;
-  if (i == quick && i < n && t[i].key <= hi_key) {
-    return ops.window_end(t, i, n, hi_key);
-  }
-  return i;
-}
-
-/// Top key bits of the MSD pass: 2^11 clusters, so its counters (16 KB)
-/// and the scatter's 2^11 write streams stay within L1/L2 reach.
+/// Most top key bits of the MSD pass: at most 2^11 clusters, so its
+/// counters (16 KB) and the scatter's write streams stay within L1/L2 reach.
 constexpr int kMsdBits = 11;
-/// Widest LSD digit; two digits cover the 21 bits a full 32-bit key range
-/// leaves below the MSD bits.
+/// The MSD pass aims at clusters of about 2^kClusterBits tuples: enough
+/// that each cluster's counting passes cost more per tuple than per
+/// counter, few enough that a cluster stays in L2 through its passes.
+constexpr int kClusterBits = 12;
+/// Widest LSD digit: its counters (8 KB) stay in L1.
 constexpr int kMaxDigitBits = 11;
 /// Clusters up to this size are insertion-sorted: below it a counting
 /// pass's fixed cost (clearing and summing 2^digit counters) outweighs
@@ -140,7 +128,11 @@ void sort_cluster(rel::Tuple* t, std::size_t n, std::uint32_t base,
   if (varying == 0) return;  // one key
   const int lo = std::countr_zero(varying);
   const int width = std::bit_width(varying) - lo;
-  const int passes = (width + kMaxDigitBits - 1) / kMaxDigitBits;
+  // The digit is sized to the cluster: at most bit_width(n) bits, fewer
+  // than 2n counters, so clearing and summing them never outweighs the
+  // passes over the tuples.
+  const int widest = std::min(kMaxDigitBits, static_cast<int>(std::bit_width(n)));
+  const int passes = (width + widest - 1) / widest;
   const int digit = (width + passes - 1) / passes;
   rel::Tuple* src = t;
   rel::Tuple* dst = scratch;
@@ -153,10 +145,16 @@ void sort_cluster(rel::Tuple* t, std::size_t n, std::uint32_t base,
   if (src != t) std::memcpy(t, src, n * sizeof(rel::Tuple));
 }
 
+/// Copies t[0, n)'s keys to keys[0, n).
+void copy_keys(const rel::Tuple* t, std::size_t n, std::uint32_t* keys) {
+  for (std::size_t i = 0; i < n; ++i) keys[i] = t[i].key;
+}
+
 /// sort_into's stages, into `out`, or with `owner` into a buffer allocated
-/// there once the key range is known.
+/// there once the key range is known; with `keys`, also the key column.
 void add_sort_stages(std::span<const rel::Tuple> in, std::span<rel::Tuple> out,
-                     PoolArray<rel::Tuple>* owner, StagedJob& job) {
+                     PoolArray<rel::Tuple>* owner,
+                     PoolArray<std::uint32_t>* keys, StagedJob& job) {
   const int tasks = job.tasks();
   const auto T = static_cast<std::size_t>(tasks);
 
@@ -186,20 +184,36 @@ void add_sort_stages(std::span<const rel::Tuple> in, std::span<rel::Tuple> out,
     const auto [b, e] = task_slice(st->in.size(), t, tasks);
     obs::prof::ScopedProfile prof(obs::prof::current(), "sort", e - b);
     if (b == e) return;
-    std::uint32_t lo = st->in[b].key;
-    std::uint32_t hi = lo;
+    // Four independent lanes: one min/max chain would bound the loop by
+    // its latency.
+    std::array<std::uint32_t, 4> lo;
+    std::array<std::uint32_t, 4> hi;
+    lo.fill(st->in[b].key);
+    hi.fill(st->in[b].key);
     const rel::Tuple* in = st->in.data();
-    for (std::size_t i = b; i < e; ++i) {
-      lo = std::min(lo, in[i].key);
-      hi = std::max(hi, in[i].key);
+    std::size_t i = b;
+    for (; i + 4 <= e; i += 4) {
+      for (std::size_t k = 0; k < 4; ++k) {
+        lo[k] = std::min(lo[k], in[i + k].key);
+        hi[k] = std::max(hi[k], in[i + k].key);
+      }
     }
-    st->range[static_cast<std::size_t>(t)] = {lo, hi};
+    for (; i < e; ++i) {
+      lo[0] = std::min(lo[0], in[i].key);
+      hi[0] = std::max(hi[0], in[i].key);
+    }
+    st->range[static_cast<std::size_t>(t)] = {std::ranges::min(lo),
+                                              std::ranges::max(hi)};
   });
-  job.add_serial([st, owner, tasks, T] {
+  job.add_serial([st, owner, keys, tasks, T] {
     const std::size_t n = st->in.size();
     if (owner != nullptr) {
       *owner = PoolArray<rel::Tuple>(n);
       st->out = *owner;
+    }
+    if (keys != nullptr) {
+      *keys = PoolArray<std::uint32_t>(n + kKeyPad);
+      std::fill_n(keys->data() + n, kKeyPad, 0xFFFFFFFFU);
     }
     if (n == 0) return;
     std::uint32_t lo = 0xFFFFFFFFU;
@@ -212,7 +226,10 @@ void add_sort_stages(std::span<const rel::Tuple> in, std::span<rel::Tuple> out,
     }
     const int range_bits = std::bit_width(hi - lo);
     const int msd_bits =
-        n <= kInsertionMax ? 0 : std::min(kMsdBits, range_bits);
+        n <= kInsertionMax
+            ? 0
+            : std::clamp(static_cast<int>(std::bit_width(n)) - kClusterBits,
+                         0, std::min(kMsdBits, range_bits));
     st->lo = lo;
     // Up to 32 when one cluster spans the whole range: the cluster index
     // shifts a 64-bit value.
@@ -243,28 +260,35 @@ void add_sort_stages(std::span<const rel::Tuple> in, std::span<rel::Tuple> out,
     st->first = split_by_weight(std::span<const std::size_t>(st->bounds), tasks);
   });
 
-  // 3. MSD scatter per slice, in -> out.
+  // 3. MSD scatter per slice, in -> out, write-combined (join/scatter.h)
+  //    once the clusters are enough write streams to need it.
   job.add_stage([st, tasks](int t) {
     if (st->clusters == 0) return;
     const auto [b, e] = task_slice(st->in.size(), t, tasks);
     obs::prof::ScopedProfile prof(obs::prof::current(), "sort");
-    std::size_t* next =
-        st->cursor.data() + static_cast<std::size_t>(t) * st->clusters;
+    const auto fanout = static_cast<std::uint32_t>(st->clusters);
+    const auto first = st->cursor.begin() + static_cast<std::ptrdiff_t>(t) * fanout;
+    std::vector<std::uint32_t> cursor(first, first + fanout);
+    const bool staged = fanout >= detail::kMinBufferedFanout;
+    detail::ScatterBuffers<rel::Tuple> buf(staged, fanout);
     const std::uint32_t lo = st->lo;
     const int shift = st->shift;
     const rel::Tuple* in = st->in.data();
-    rel::Tuple* dst = st->out.data();
-    for (std::size_t i = b; i < e; ++i) {
-      const rel::Tuple& x = in[i];
-      dst[next[std::uint64_t{x.key - lo} >> shift]++] = x;
-    }
+    detail::scatter_range<rel::Tuple>(
+        b, e, staged, fanout, cursor, buf.fill, buf.stage, st->out.data(),
+        [&](std::size_t i) {
+          return static_cast<std::uint32_t>(std::uint64_t{in[i].key - lo} >> shift);
+        },
+        [&](std::size_t i) { return in[i]; });
   });
 
   // 4. Each task sorts its clusters by their remaining `shift` bits (none
-  //    left: every cluster holds one key). The LSD passes borrow one
-  //    scratch buffer per task, sized to the task's largest cluster.
-  job.add_stage([st](int t) {
-    if (st->clusters == 0 || st->shift == 0) return;
+  //    left: every cluster holds one key), and copies each sorted cluster's
+  //    keys to the key column while the cluster is still in cache. The LSD
+  //    passes borrow one scratch buffer per task, sized to the task's
+  //    largest cluster.
+  job.add_stage([st, keys](int t) {
+    if (st->clusters == 0) return;
     obs::prof::ScopedProfile prof(obs::prof::current(), "sort");
     const std::size_t c0 = st->first[static_cast<std::size_t>(t)];
     const std::size_t c1 = st->first[static_cast<std::size_t>(t) + 1];
@@ -272,12 +296,14 @@ void add_sort_stages(std::span<const rel::Tuple> in, std::span<rel::Tuple> out,
     for (std::size_t c = c0; c < c1; ++c) {
       largest = std::max(largest, st->bounds[c + 1] - st->bounds[c]);
     }
-    PoolArray<rel::Tuple> scratch(largest > kInsertionMax ? largest : 0);
+    const bool sort = st->shift != 0;
+    PoolArray<rel::Tuple> scratch(sort && largest > kInsertionMax ? largest : 0);
     DigitCounts counts{};
     for (std::size_t c = c0; c < c1; ++c) {
-      sort_cluster(st->out.data() + st->bounds[c],
-                   st->bounds[c + 1] - st->bounds[c], st->lo, scratch.data(),
-                   counts);
+      rel::Tuple* cluster = st->out.data() + st->bounds[c];
+      const std::size_t n = st->bounds[c + 1] - st->bounds[c];
+      if (sort) sort_cluster(cluster, n, st->lo, scratch.data(), counts);
+      if (keys != nullptr) copy_keys(cluster, n, keys->data() + st->bounds[c]);
     }
   });
 }
@@ -285,15 +311,15 @@ void add_sort_stages(std::span<const rel::Tuple> in, std::span<rel::Tuple> out,
 }  // namespace
 
 void sort_into(std::span<const rel::Tuple> in, PoolArray<rel::Tuple>* out,
-               StagedJob& job) {
+               StagedJob& job, PoolArray<std::uint32_t>* keys) {
   CJ_CHECK(out != nullptr);
-  add_sort_stages(in, {}, out, job);
+  add_sort_stages(in, {}, out, keys, job);
 }
 
 void sort_into(std::span<const rel::Tuple> in, std::span<rel::Tuple> out) {
   CJ_CHECK_MSG(in.size() == out.size(), "sort_into needs |out| == |in|");
   StagedJob job(1);
-  add_sort_stages(in, out, nullptr, job);
+  add_sort_stages(in, out, nullptr, nullptr, job);
   job.run_inline();
 }
 
@@ -308,66 +334,188 @@ bool is_sorted_by_key(std::span<const rel::Tuple> fragment) {
       [](const rel::Tuple& a, const rel::Tuple& b) { return a.key < b.key; });
 }
 
-void merge_join(std::span<const rel::Tuple> r_sorted,
-                std::span<const rel::Tuple> s_sorted, JoinResult& result,
-                const KernelConfig& kernel) {
-  obs::prof::ScopedProfile prof(obs::prof::current(), "merge", r_sorted.size());
-  const detail::MergeScanOps ops = detail::merge_scan_ops(resolve_simd(kernel.simd));
-  const rel::Tuple* r = r_sorted.data();
-  const rel::Tuple* s = s_sorted.data();
-  const std::size_t rn = r_sorted.size();
-  const std::size_t sn = s_sorted.size();
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < rn && j < sn) {
-    const std::uint32_t rk = r[i].key;
-    const std::uint32_t sk = s[j].key;
-    if (rk < sk) {
-      ++i;
-    } else if (rk > sk) {
-      ++j;
-    } else {
-      // Key group: emit the cross product of equal-key runs.
-      const std::size_t i_end = run_end(ops, r, i + 1, rn, rk);
-      const std::size_t j_end = run_end(ops, s, j + 1, sn, rk);
-      result.reserve_batch((i_end - i) * (j_end - j));
-      for (std::size_t a = i; a < i_end; ++a) {
-        for (std::size_t b = j; b < j_end; ++b) {
-          result.add_match(r[a], s[b]);
+namespace {
+
+/// R tuples per stream and block: one block's windows (two streams, lo and
+/// hi each) stay in L1 from the bounds phase to the emission phase.
+constexpr std::size_t kBlock = 256;
+
+/// Flattened (r, s) pairs the counting emission buffers before it hashes
+/// them; a window that does not fit is emitted straight from its bounds.
+constexpr std::size_t kPairBuffer = 4096;
+
+/// Emission into a counting-only result, in two branch-free passes per
+/// block. Flatten: each r tuple's window [lo, hi) becomes hi - lo pair
+/// slots, written kLanes at a time with one value repeated — the r index
+/// and lo minus the window's first slot — so a window of up to kLanes
+/// pairs costs no data-dependent branch. Hash: one pass over the slots
+/// recovers each pair (slot k of r index i pairs s[k + that difference])
+/// and sums pair_hash, with no dependency between pairs but the sum. The
+/// matches are the slots' count.
+class CountingEmitter {
+ public:
+  explicit CountingEmitter(const rel::Tuple* s) : s_(s) {}
+
+  void windows(const rel::Tuple* r, const std::uint32_t* lo,
+               const std::uint32_t* hi, std::size_t count) {
+    std::uint64_t* slots = slots_.data();
+    std::size_t fill = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t len = hi[i] - lo[i];
+      if (fill + len + detail::kLanes > kPairBuffer) {
+        flush(r, fill);
+        fill = 0;
+        if (len + detail::kLanes > kPairBuffer) {
+          long_window(r[i], lo[i], len);
+          continue;
         }
       }
-      i = i_end;
-      j = j_end;
+      const std::uint64_t slot =
+          (std::uint64_t{static_cast<std::uint32_t>(i)} << 32) |
+          static_cast<std::uint32_t>(lo[i] - static_cast<std::uint32_t>(fill));
+      std::uint32_t l = 0;
+      do {
+        for (std::uint32_t k = 0; k < detail::kLanes; ++k) {
+          slots[fill + l + k] = slot;
+        }
+        l += detail::kLanes;
+      } while (l < len);
+      fill += len;
+    }
+    flush(r, fill);
+  }
+
+  std::uint64_t matches() const { return matches_; }
+  std::uint64_t checksum() const { return checksum_; }
+
+ private:
+  void flush(const rel::Tuple* r, std::size_t fill) {
+    std::uint64_t sum = 0;
+    for (std::size_t k = 0; k < fill; ++k) {
+      const std::uint64_t slot = slots_[k];
+      const std::uint32_t j = static_cast<std::uint32_t>(slot) +
+                              static_cast<std::uint32_t>(k);
+      sum += JoinResult::pair_hash(r[slot >> 32].payload, s_[j].payload);
+    }
+    checksum_ += sum;
+    matches_ += fill;
+  }
+
+  void long_window(const rel::Tuple& r, std::uint32_t lo, std::uint32_t len) {
+    std::uint64_t sum = 0;
+    for (std::uint32_t j = lo; j < lo + len; ++j) {
+      sum += JoinResult::pair_hash(r.payload, s_[j].payload);
+    }
+    checksum_ += sum;
+    matches_ += len;
+  }
+
+  const rel::Tuple* s_;
+  std::uint64_t matches_ = 0;
+  std::uint64_t checksum_ = 0;
+  std::array<std::uint64_t, kPairBuffer> slots_;
+};
+
+/// Emission into a materializing result: rows in r order, and for one r in
+/// s order.
+struct RowEmitter {
+  const rel::Tuple* s;
+  JoinResult* out;
+
+  void windows(const rel::Tuple* r, const std::uint32_t* lo,
+               const std::uint32_t* hi, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) {
+      out->reserve_batch(hi[i] - lo[i]);
+      for (std::uint32_t j = lo[i]; j < hi[i]; ++j) out->add_match(r[i], s[j]);
     }
   }
+};
+
+/// The two-phase merge over non-empty r and s. r splits into two streams,
+/// r[0, half) emitted into `first` and r[half, end) into `second`; per
+/// block, the bounds phase runs both streams side by side, so their
+/// latency chains overlap, and then each stream's windows are emitted.
+template <typename Emitter>
+void merge_streams(std::span<const rel::Tuple> r, std::span<const rel::Tuple> s,
+                   const std::uint32_t* keys, std::uint32_t band,
+                   detail::BoundsFn bounds, Emitter& first, Emitter& second) {
+  const auto n = static_cast<std::uint32_t>(s.size());
+  const std::size_t half = r.size() / 2;
+  const std::size_t rest = r.size() - half;
+  const auto start = [&](const rel::Tuple& t) {
+    return static_cast<std::uint32_t>(
+        std::lower_bound(keys, keys + n, detail::band_low(t.key, band)) - keys);
+  };
+  std::array<std::uint32_t, 4 * kBlock> windows;
+  std::uint32_t* const lo_a = windows.data();
+  std::uint32_t* const hi_a = lo_a + kBlock;
+  std::uint32_t* const lo_b = hi_a + kBlock;
+  std::uint32_t* const hi_b = lo_b + kBlock;
+  const std::uint32_t a0 = half == 0 ? 0 : start(r[0]);
+  const std::uint32_t b0 = start(r[half]);
+  detail::BoundsStream a{r.data(), lo_a, hi_a, a0, a0};
+  detail::BoundsStream b{r.data() + half, lo_b, hi_b, b0, b0};
+  for (std::size_t done = 0; done < rest; done += kBlock) {
+    const std::size_t ca = done < half ? std::min(kBlock, half - done) : 0;
+    const std::size_t cb = std::min(kBlock, rest - done);
+    a.r = r.data() + done;
+    b.r = r.data() + half + done;
+    bounds(keys, n, band, a, ca, b, cb);
+    first.windows(a.r, lo_a, hi_a, ca);
+    second.windows(b.r, lo_b, hi_b, cb);
+  }
+}
+
+}  // namespace
+
+void band_merge_join(std::span<const rel::Tuple> r_sorted,
+                     std::span<const rel::Tuple> s_sorted,
+                     const std::uint32_t* s_keys, std::uint32_t band,
+                     JoinResult& result, const KernelConfig& kernel) {
+  obs::prof::ScopedProfile prof(obs::prof::current(), "merge", r_sorted.size());
+  if (r_sorted.empty() || s_sorted.empty()) return;
+  CJ_CHECK_MSG(s_sorted.size() < 0xFFFFFFFFU - kKeyPad,
+               "the merge indexes S with 32-bit cursors");
+  const detail::BoundsFn bounds =
+      detail::window_bounds_fn(resolve_simd(kernel.simd));
+  if (!result.materializes()) {
+    // One emitter serves both streams: a stream flushes its pairs at the
+    // end of each block.
+    auto emitter = std::make_unique<CountingEmitter>(s_sorted.data());
+    merge_streams(r_sorted, s_sorted, s_keys, band, bounds, *emitter, *emitter);
+    result.add_counted(emitter->matches(), emitter->checksum());
+    return;
+  }
+  // The second stream's rows follow the first's.
+  JoinResult tail(true);
+  RowEmitter first{s_sorted.data(), &result};
+  RowEmitter second{s_sorted.data(), &tail};
+  merge_streams(r_sorted, s_sorted, s_keys, band, bounds, first, second);
+  result.merge(tail);
 }
 
 void band_merge_join(std::span<const rel::Tuple> r_sorted,
                      std::span<const rel::Tuple> s_sorted, std::uint32_t band,
                      JoinResult& result, const KernelConfig& kernel) {
-  if (band == 0) {
-    merge_join(r_sorted, s_sorted, result, kernel);
-    return;
+  // R in pieces, each against the key column of just its matching window:
+  // the column buffer stays near a piece's window, not |S|.
+  constexpr std::size_t kPiece = 1 << 14;
+  std::vector<std::uint32_t> keys;
+  for (std::size_t off = 0; off < r_sorted.size(); off += kPiece) {
+    const auto piece = r_sorted.subspan(off, std::min(kPiece, r_sorted.size() - off));
+    const auto window =
+        matching_window(s_sorted, piece.front().key, piece.back().key, band);
+    keys.resize(window.size() + kKeyPad);
+    copy_keys(window.data(), window.size(), keys.data());
+    std::fill_n(keys.data() + window.size(), kKeyPad, 0xFFFFFFFFU);
+    band_merge_join(piece, window, keys.data(), band, result, kernel);
   }
-  obs::prof::ScopedProfile prof(obs::prof::current(), "merge", r_sorted.size());
-  const detail::MergeScanOps ops = detail::merge_scan_ops(resolve_simd(kernel.simd));
-  const rel::Tuple* s = s_sorted.data();
-  const std::size_t sn = s_sorted.size();
-  // For each r (ascending), the matching s window [r.key - band,
-  // r.key + band] only ever slides forward at its lower edge.
-  std::size_t lo = 0;
-  for (const rel::Tuple& r : r_sorted) {
-    const std::uint32_t lo_key = r.key >= band ? r.key - band : 0;
-    // Saturating upper bound: keys are 32-bit.
-    const std::uint32_t hi_key =
-        r.key > 0xFFFFFFFFU - band ? 0xFFFFFFFFU : r.key + band;
-    while (lo < sn && s[lo].key < lo_key) ++lo;
-    const std::size_t j_end = window_end(ops, s, lo, sn, hi_key);
-    result.reserve_batch(j_end - lo);
-    for (std::size_t j = lo; j < j_end; ++j) {
-      result.add_match(r, s[j]);
-    }
-  }
+}
+
+void merge_join(std::span<const rel::Tuple> r_sorted,
+                std::span<const rel::Tuple> s_sorted, JoinResult& result,
+                const KernelConfig& kernel) {
+  band_merge_join(r_sorted, s_sorted, 0, result, kernel);
 }
 
 std::span<const rel::Tuple> matching_window(std::span<const rel::Tuple> s_sorted,
@@ -375,8 +523,8 @@ std::span<const rel::Tuple> matching_window(std::span<const rel::Tuple> s_sorted
                                             std::uint32_t hi_key,
                                             std::uint32_t band) {
   CJ_DCHECK(lo_key <= hi_key);
-  const std::uint32_t lo = lo_key >= band ? lo_key - band : 0;
-  const std::uint32_t hi = hi_key > 0xFFFFFFFFU - band ? 0xFFFFFFFFU : hi_key + band;
+  const std::uint32_t lo = detail::band_low(lo_key, band);
+  const std::uint32_t hi = detail::band_high(hi_key, band);
   const auto key_less = [](const rel::Tuple& t, std::uint32_t k) { return t.key < k; };
   const auto key_greater = [](std::uint32_t k, const rel::Tuple& t) { return k < t.key; };
   auto begin = std::lower_bound(s_sorted.begin(), s_sorted.end(), lo, key_less);

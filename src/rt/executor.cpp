@@ -6,8 +6,16 @@
 
 namespace cj::rt {
 
-Executor::Executor(int workers) {
+namespace {
+std::atomic<Executor::Gate*> g_gate{nullptr};
+}  // namespace
+
+void Executor::set_gate(Gate* gate) { g_gate.store(gate); }
+
+Executor::Executor(int workers) : gate_(g_gate.load()) {
   CJ_CHECK_MSG(workers >= 1, "an executor needs at least one worker");
+  CJ_CHECK_MSG(gate_ == nullptr || (gate_->jobs >= 1 && gate_->jobs <= workers),
+               "a dispatch gate cannot hold more jobs than there are workers");
   threads_.reserve(static_cast<std::size_t>(workers));
   for (int i = 0; i < workers; ++i) {
     threads_.emplace_back([this, i] { worker_main(i); });
@@ -44,6 +52,22 @@ int Executor::add_cap(int max_tasks) {
   return static_cast<int>(caps_.size()) - 1;
 }
 
+void Executor::pass_gate(std::unique_lock<std::mutex>& lk) {
+  if (gate_ == nullptr) return;
+  Gate* gate = gate_;
+  if (++gate_held_ == gate->jobs) {
+    gate->met.fetch_add(1);
+    gate_ = nullptr;
+    gate_cv_.notify_all();
+    return;
+  }
+  if (!gate_cv_.wait_for(lk, gate->timeout, [&] { return gate_ != gate; })) {
+    gate->missed.fetch_add(1);
+    gate_ = nullptr;
+    gate_cv_.notify_all();
+  }
+}
+
 std::deque<Executor::Job>::iterator Executor::next_runnable() {
   for (auto it = queue_.begin(); it != queue_.end(); ++it) {
     if (it->cap == sim::CorePool::kUncapped) return it;
@@ -73,6 +97,7 @@ void Executor::worker_main(int id) {
       if (job.cap != sim::CorePool::kUncapped) {
         ++caps_[static_cast<std::size_t>(job.cap)].running;
       }
+      pass_gate(lk);
     }
     job.fn(id);
     finished_cap = job.cap;

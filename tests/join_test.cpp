@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <map>
 #include <string>
@@ -236,6 +237,56 @@ TEST(SortInto, UnalignedMinimumKey) {
   expect_sorts(in);
 }
 
+/// sort_into's output against std::stable_sort by key, byte for byte: a
+/// stable sort's output is unique.
+void expect_sorts_stably(std::span<const rel::Tuple> in) {
+  std::vector<rel::Tuple> out(in.size());
+  sort_into(in, out);
+  std::vector<rel::Tuple> ref(in.begin(), in.end());
+  std::stable_sort(ref.begin(), ref.end(), [](const rel::Tuple& a, const rel::Tuple& b) {
+    return a.key < b.key;
+  });
+  EXPECT_TRUE(out.size() == ref.size() &&
+              (out.empty() || std::memcmp(out.data(), ref.data(),
+                                          out.size() * sizeof(rel::Tuple)) == 0))
+      << in.size() << " tuples";
+}
+
+TEST(SortInto, ClusterSizesAroundTheInsertionCutoff) {
+  // Below 2^12 tuples the whole input is one cluster: 1 tuple, the
+  // insertion-sort cutoff (32), one past it (the first LSD pass), and
+  // 3'000 tuples over 20 key bits, more than one 11-bit digit's buckets.
+  // Payloads number the tuples, so a reordered duplicate shows.
+  for (const std::uint64_t rows : {1U, 32U, 33U, 3'000U}) {
+    const auto t = gen(rows, 1U << 20, 81);
+    std::vector<rel::Tuple> in(t.tuples().begin(), t.tuples().end());
+    for (std::uint64_t i = 0; i < in.size(); ++i) {
+      in[i].key %= 64;  // duplicates
+      in[i].key *= 16'411;
+      in[i].payload = i;
+    }
+    expect_sorts_stably(in);
+  }
+  // 2^14 tuples over keys [0, 2^20): 8 MSD clusters of 2^17 keys each.
+  // Cluster 1 gets one tuple, cluster 2 the cutoff's 32, cluster 3 one
+  // more; the rest, thousands each, take LSD digits of at most 11 bits.
+  std::vector<rel::Tuple> in;
+  const auto cluster_key = [](std::uint32_t cluster, std::uint64_t i) {
+    return (cluster << 17) | static_cast<std::uint32_t>((i * 2'654'435'761U) % (1U << 17) % 5'000);
+  };
+  std::uint64_t id = 0;
+  for (std::uint32_t cluster : {0U, 4U, 5U, 6U, 7U}) {
+    for (int c = 0; c < 3'270; ++c, ++id) in.push_back({cluster_key(cluster, id), id});
+  }
+  for (const auto& [cluster, count] : {std::pair{1U, 1}, std::pair{2U, 32}, std::pair{3U, 33}}) {
+    for (int c = 0; c < count; ++c, ++id) in.push_back({cluster_key(cluster, id), id});
+  }
+  in.push_back({(1U << 20) - 1, id++});
+  std::rotate(in.begin(), in.begin() + 7'000, in.end());  // interleave clusters
+  ASSERT_EQ(std::bit_width(in.size()), 15);
+  expect_sorts_stably(in);
+}
+
 struct SortCase {
   int log_rows;
   double zipf;
@@ -337,6 +388,200 @@ TEST(BandMergeJoin, LargeInputsMatchNestedLoops) {
     const JoinResult got = local_sort_merge_join(r.tuples(), s.tuples(), kBands[i]);
     EXPECT_EQ(got.matches(), oracle[i].matches()) << "band " << kBands[i];
     EXPECT_EQ(got.checksum(), oracle[i].checksum()) << "band " << kBands[i];
+  }
+}
+
+// ------------------------------------------------ merge kernel parity
+//
+// The two-phase merge (bounds over the key column, then emission) against
+// nested loops over the same sorted runs: nested loops visits r in order
+// and, for one r, s in order, so its materialized output is the merge's,
+// row for row. Every case runs at every SIMD tier the machine executes and
+// must give the same rows there.
+
+SimdTier tier_for(Simd request);     // dispatch-tier parity below
+void run_threaded(StagedJob& job);   // staged setup kernels below
+
+std::vector<rel::Tuple> sorted_copy(std::span<const rel::Tuple> in) {
+  std::vector<rel::Tuple> out(in.size());
+  sort_into(in, out);
+  return out;
+}
+
+std::vector<Simd> executable_tiers() {
+  std::vector<Simd> tiers = {Simd::kScalar};
+  for (const Simd simd : {Simd::kAvx2, Simd::kNeon}) {
+    if (simd_tier_available(tier_for(simd))) tiers.push_back(simd);
+  }
+  return tiers;
+}
+
+/// The merge of sorted r and s at every tier, materialized and counting,
+/// against nested loops: same rows in the same order, same totals.
+void expect_merge_matches_nested_loops(std::span<const rel::Tuple> r,
+                                       std::span<const rel::Tuple> s,
+                                       std::uint32_t band) {
+  JoinResult oracle(true);
+  nested_loops_band_join(r, s, band, oracle);
+  for (const Simd simd : executable_tiers()) {
+    const KernelConfig kernel{.simd = simd};
+    const char* tier = simd_tier_name(tier_for(simd));
+    JoinResult rows(true);
+    band_merge_join(r, s, band, rows, kernel);
+    ASSERT_EQ(rows.matches(), oracle.matches()) << tier << " band " << band;
+    EXPECT_EQ(rows.checksum(), oracle.checksum()) << tier << " band " << band;
+    EXPECT_TRUE(std::ranges::equal(rows.output(), oracle.output()))
+        << tier << " band " << band << ": rows differ or come out of order";
+    JoinResult counted;
+    band_merge_join(r, s, band, counted, kernel);
+    EXPECT_EQ(counted.matches(), oracle.matches()) << tier << " band " << band;
+    EXPECT_EQ(counted.checksum(), oracle.checksum()) << tier << " band " << band;
+  }
+}
+
+enum class MergeKeys { kUniform, kZipf05, kZipf125, kAllDuplicates };
+
+struct MergeCase {
+  MergeKeys keys;
+  std::uint32_t band;
+};
+
+class BandMergeJoinParity : public ::testing::TestWithParam<MergeCase> {};
+
+TEST_P(BandMergeJoinParity, MatchesNestedLoopsRowForRowAtEveryTier) {
+  const auto [keys, band] = GetParam();
+  std::vector<rel::Tuple> r;
+  std::vector<rel::Tuple> s;
+  if (keys == MergeKeys::kAllDuplicates) {
+    for (std::uint64_t i = 0; i < 300; ++i) r.push_back({42, i});
+    for (std::uint64_t i = 0; i < 400; ++i) s.push_back({42, 1000 + i});
+  } else {
+    const double zipf = keys == MergeKeys::kUniform  ? 0.0
+                        : keys == MergeKeys::kZipf05 ? 0.5
+                                                     : 1.25;
+    const auto rr = gen(1'500, 2'000, 71, zipf);
+    const auto ss = gen(1'700, 2'000, 72, zipf);
+    r = sorted_copy(rr.tuples());
+    s = sorted_copy(ss.tuples());
+  }
+  expect_merge_matches_nested_loops(r, s, band);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    KeysAndBands, BandMergeJoinParity,
+    ::testing::Values(MergeCase{MergeKeys::kUniform, 0}, MergeCase{MergeKeys::kUniform, 1},
+                      MergeCase{MergeKeys::kUniform, 7}, MergeCase{MergeKeys::kZipf05, 0},
+                      MergeCase{MergeKeys::kZipf05, 1}, MergeCase{MergeKeys::kZipf05, 7},
+                      MergeCase{MergeKeys::kZipf125, 0}, MergeCase{MergeKeys::kZipf125, 1},
+                      MergeCase{MergeKeys::kZipf125, 7},
+                      MergeCase{MergeKeys::kAllDuplicates, 0},
+                      MergeCase{MergeKeys::kAllDuplicates, 1},
+                      MergeCase{MergeKeys::kAllDuplicates, 7}));
+
+TEST(BandMergeJoin, SaturatingBandAtTheKeyDomainEnds) {
+  // Windows that clamp at key 0 and at 0xFFFFFFFF, up to a band that
+  // covers the whole domain; the S column's padding keys are 0xFFFFFFFF
+  // too, so a cursor must stop at the column's end, not at its padding.
+  const std::vector<rel::Tuple> r = {{0, 1}, {0, 2}, {3, 3}, {0xFFFFFFFE, 4},
+                                     {0xFFFFFFFF, 5}, {0xFFFFFFFF, 6}};
+  const std::vector<rel::Tuple> s = {{0, 10}, {1, 11}, {9, 12}, {0x80000000, 13},
+                                     {0xFFFFFFF8, 14}, {0xFFFFFFFF, 15},
+                                     {0xFFFFFFFF, 16}};
+  for (const std::uint32_t band : {0U, 1U, 7U, 0x7FFFFFFFU, 0xFFFFFFFFU}) {
+    expect_merge_matches_nested_loops(r, s, band);
+  }
+}
+
+TEST(BandMergeJoin, EmptyAndOneTupleWindows) {
+  // Every other r key has no partner, the rest exactly one: windows of
+  // zero and one tuple alternate, so the cursors stop mid compare step.
+  std::vector<rel::Tuple> r;
+  std::vector<rel::Tuple> s;
+  for (std::uint32_t k = 0; k < 500; ++k) {
+    r.push_back({k * 10, k});
+    if (k % 2 == 0) s.push_back({k * 10, 100 + k});
+  }
+  expect_merge_matches_nested_loops(r, s, 0);
+  expect_merge_matches_nested_loops(r, s, 4);  // band < gap: still 0 or 1
+  expect_merge_matches_nested_loops(r, {}, 3);
+  expect_merge_matches_nested_loops({}, s, 3);
+  expect_merge_matches_nested_loops(std::vector<rel::Tuple>{{20, 1}}, s, 0);
+}
+
+TEST(BandMergeJoin, WindowsLongerThanOneCompareStep) {
+  // Duplicate runs of 7, 8, 9, 63, 64 and 65 S tuples: windows shorter,
+  // as long as and longer than one 8-key compare step, and than eight.
+  std::vector<rel::Tuple> s;
+  std::vector<rel::Tuple> r;
+  std::uint32_t key = 100;
+  for (const int run : {7, 8, 9, 63, 64, 65}) {
+    for (int c = 0; c < run; ++c) s.push_back({key, s.size()});
+    r.push_back({key - 1, key});
+    r.push_back({key, key + 1});
+    r.push_back({key, key + 2});
+    key += 100;
+  }
+  expect_merge_matches_nested_loops(r, s, 0);
+  expect_merge_matches_nested_loops(r, s, 1);
+  expect_merge_matches_nested_loops(r, s, 150);  // windows span two runs
+}
+
+TEST(BandMergeJoin, WindowsBeyondThePairBuffer) {
+  // 5'000 S tuples of one key: each of these r tuples' windows is larger
+  // than the counting emission's pair buffer, and the r tuples around
+  // them fill the buffer several times over.
+  std::vector<rel::Tuple> s;
+  for (std::uint64_t i = 0; i < 5'000; ++i) s.push_back({500, i});
+  for (std::uint32_t k = 501; k < 1'500; ++k) s.push_back({k, k});
+  std::vector<rel::Tuple> r;
+  for (std::uint32_t k = 490; k < 1'400; ++k) r.push_back({k, 7 * k});
+  expect_merge_matches_nested_loops(r, s, 0);
+  expect_merge_matches_nested_loops(r, s, 12);
+}
+
+TEST(BandMergeJoin, ChunkedWindowsOfTheKeyColumnMatchTheWholeJoin) {
+  // The runner's shape: S sorted by a staged sort_into that also writes
+  // its key column, R in chunks of four ranges each, every range merged
+  // against its matching_window of S with the window's slice of the
+  // column (padded only at the column's end).
+  const auto r = sorted_copy(gen(20'000, 30'000, 73, 0.5).tuples());
+  const auto s_in = gen(20'000, 30'000, 74, 0.5);
+  PoolArray<rel::Tuple> s_pool;
+  PoolArray<std::uint32_t> keys;
+  StagedJob job(3);
+  sort_into(s_in.tuples(), &s_pool, job, &keys);
+  run_threaded(job);
+  const std::span<const rel::Tuple> s(s_pool);
+  ASSERT_EQ(keys.size(), s.size() + kKeyPad);
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(keys[i], i < s.size() ? s[i].key : 0xFFFFFFFFU) << "key " << i;
+  }
+  for (const std::uint32_t band : {0U, 1U, 7U}) {
+    // Without a column, R goes in 2^14-tuple pieces, each with a column of
+    // its own window: the same rows in the same order as one keyed call.
+    JoinResult whole(true);
+    band_merge_join(r, s, band, whole);
+    JoinResult keyed(true);
+    band_merge_join(r, s, keys.data(), band, keyed);
+    EXPECT_TRUE(std::ranges::equal(whole.output(), keyed.output())) << "band " << band;
+    for (const Simd simd : executable_tiers()) {
+      JoinResult chunked;
+      for (std::size_t off = 0; off < r.size(); off += 2'730) {
+        const auto chunk =
+            std::span<const rel::Tuple>(r).subspan(off, std::min<std::size_t>(2'730, r.size() - off));
+        for (int p = 0; p < 4; ++p) {
+          const auto range = chunk.subspan(chunk.size() * p / 4,
+                                           chunk.size() * (p + 1) / 4 - chunk.size() * p / 4);
+          if (range.empty()) continue;
+          const auto window =
+              matching_window(s, range.front().key, range.back().key, band);
+          band_merge_join(range, window, keys.data() + (window.data() - s.data()),
+                          band, chunked, KernelConfig{.simd = simd});
+        }
+      }
+      EXPECT_EQ(chunked.matches(), whole.matches()) << "band " << band;
+      EXPECT_EQ(chunked.checksum(), whole.checksum()) << "band " << band;
+    }
   }
 }
 
@@ -1005,10 +1250,16 @@ TEST_P(StagedSortInto, MatchesInlineSort) {
   sort_into(in, inline_out);
   ASSERT_TRUE(is_sorted_by_key(inline_out));
   PoolArray<rel::Tuple> staged_out;
+  PoolArray<std::uint32_t> column;
   StagedJob job(tasks);
-  sort_into(in, &staged_out, job);
+  sort_into(in, &staged_out, job, &column);
   run_threaded(job);
   EXPECT_TRUE(same_bytes(staged_out, inline_out));
+  // The key column: the sorted keys, then the padding.
+  ASSERT_EQ(column.size(), in.size() + kKeyPad);
+  std::vector<std::uint32_t> want(in.size() + kKeyPad, 0xFFFFFFFFU);
+  for (std::size_t i = 0; i < in.size(); ++i) want[i] = inline_out[i].key;
+  EXPECT_TRUE(std::ranges::equal(column, want));
 }
 
 TEST_P(StagedSortInto, SlabMatchesInline) {

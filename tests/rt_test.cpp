@@ -21,6 +21,7 @@
 
 #include "cyclo/cyclo_join.h"
 #include "join/local_join.h"
+#include "join/nested_loops.h"
 #include "join/page_pool.h"
 #include "obs/analysis.h"
 #include "rel/generator.h"
@@ -107,6 +108,34 @@ TEST_P(RtParitySkew, SortMergeBandJoinMatchesSim) {
 
 INSTANTIATE_TEST_SUITE_P(Skew, RtParitySkew,
                          ::testing::Values(0.0, 0.5, 1.0, 1.25));
+
+// The end-to-end benchmark's band_zipf_sim shape, scaled down: 6 hosts,
+// Zipf 0.5 keys, band 1, 4 join threads, several chunks per host. The
+// oracle is nested loops, not a sort-merge join, so a bug the merge kernel
+// makes everywhere alike still shows.
+TEST(RtParity, BandZipfShapeMatchesNestedLoopsOnBothBackends) {
+  constexpr std::uint64_t kRows = 1U << 14;
+  auto r = rel::generate(
+      {.rows = kRows, .key_domain = kRows, .zipf_z = 0.5, .seed = 41}, "R", 1);
+  auto s = rel::generate(
+      {.rows = kRows, .key_domain = kRows, .zipf_z = 0.5, .seed = 42}, "S", 2);
+  JoinSpec spec;
+  spec.algorithm = Algorithm::kSortMergeJoin;
+  spec.join_threads = 4;
+  spec.band = 1;
+  join::JoinResult oracle;
+  join::nested_loops_band_join(r.tuples(), s.tuples(), spec.band, oracle);
+  ASSERT_GT(oracle.matches(), kRows);
+  for (const Backend backend : {Backend::kSim, Backend::kRt}) {
+    ClusterConfig cfg = parity_cluster(backend, 6);
+    cfg.cores_per_host = backend == Backend::kSim ? 4 : 2;
+    cfg.node.buffer_bytes = 4 * 1024;  // ~8 chunks per host
+    const RunReport report = CycloJoin(cfg, spec).run(r, s);
+    const char* name = backend == Backend::kSim ? "sim" : "rt";
+    EXPECT_EQ(report.matches, oracle.matches()) << name;
+    EXPECT_EQ(report.checksum, oracle.checksum()) << name;
+  }
+}
 
 TEST(RtParity, SingleHostDegeneratesToLocalJoin) {
   auto r = rel::generate({.rows = 10'000, .key_domain = 2'500, .seed = 5}, "R", 1);
@@ -635,7 +664,12 @@ INSTANTIATE_TEST_SUITE_P(Backends, JoinThreadLimit,
 
 // Setup runs on every core: the rotating and the stationary side's staged
 // jobs (join/staged.h) put cores_per_host setup tasks on each host's cores
-// at once, on both backends. On rt they are real worker threads.
+// at once, on both backends. On sim the traced core spans show it. On rt
+// they are real worker threads, whose overlap depends on the OS scheduler,
+// so the test asks each host's executor instead: its first cores_per_host
+// dispatched jobs — the first setup stage's tasks — must reach its
+// rt::Executor::Gate together, each on its own worker, none finished. With
+// one task per side, two jobs arrive and the gate times out.
 class SetupConcurrency : public ::testing::TestWithParam<Backend> {};
 
 TEST_P(SetupConcurrency, EveryHostRunsASetupTaskOnEachCoreAtOnce) {
@@ -644,28 +678,26 @@ TEST_P(SetupConcurrency, EveryHostRunsASetupTaskOnEachCoreAtOnce) {
   auto s = rel::generate({.rows = 600'000, .key_domain = 150'000, .seed = 94}, "S", 2);
   ClusterConfig cfg = parity_cluster(backend, 3);
   cfg.cores_per_host = backend == Backend::kSim ? 4 : 3;
-  cfg.trace.enabled = true;
+  cfg.trace.enabled = backend == Backend::kSim;
   for (const Algorithm algorithm :
        {Algorithm::kHashJoin, Algorithm::kSortMergeJoin}) {
-    // A host's best peak over a few runs: on rt a loaded machine may start
-    // one worker only after another already finished its short task. One
-    // task per side (two at once) never reaches three, however often run.
-    std::map<int, int> best;
-    for (int attempt = 0; attempt < 5; ++attempt) {
+    if (backend == Backend::kRt) {
+      rt::Executor::Gate gate{.jobs = cfg.cores_per_host};
+      rt::Executor::set_gate(&gate);
       const RunReport report =
           CycloJoin(cfg, JoinSpec{.algorithm = algorithm}).run(r, s);
-      ASSERT_NE(report.trace, nullptr);
-      for (const auto& [host, peak] : peak_setup_tasks(*report.trace)) {
-        best[host] = std::max(best[host], peak);
-      }
-      if (std::ranges::all_of(best, [&](const auto& hp) {
-            return hp.second == cfg.cores_per_host;
-          })) {
-        break;
-      }
+      rt::Executor::set_gate(nullptr);
+      EXPECT_GT(report.matches, 0U);
+      EXPECT_EQ(gate.met.load(), 3) << "algorithm " << static_cast<int>(algorithm);
+      EXPECT_EQ(gate.missed.load(), 0) << "algorithm " << static_cast<int>(algorithm);
+      continue;
     }
-    ASSERT_EQ(best.size(), 3U);
-    for (const auto& [host, peak] : best) {
+    const RunReport report =
+        CycloJoin(cfg, JoinSpec{.algorithm = algorithm}).run(r, s);
+    ASSERT_NE(report.trace, nullptr);
+    const std::map<int, int> peaks = peak_setup_tasks(*report.trace);
+    ASSERT_EQ(peaks.size(), 3U);
+    for (const auto& [host, peak] : peaks) {
       EXPECT_EQ(peak, cfg.cores_per_host)
           << "host " << host << " algorithm " << static_cast<int>(algorithm);
     }
